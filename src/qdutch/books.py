@@ -91,7 +91,10 @@ def parse_expression(space: OutcomeSpace, text: str) -> Proposition:
             raise ValueError(f"malformed expression {text!r}: unexpected {tok!r}")
         return space.atom(tok)
 
-    node = parse_or()
+    try:
+        node = parse_or()
+    except RecursionError:
+        raise ValueError("malformed expression: nested too deeply") from None
     if pos != len(tokens):
         raise ValueError(f"malformed expression {text!r}: trailing tokens")
     return node
@@ -118,7 +121,7 @@ def loads_book(text: str) -> Book:
     """Parse the JSON book format (see module docstring)."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"book file is not valid JSON: {exc}") from exc
 
     if isinstance(doc, dict):
@@ -127,8 +130,19 @@ def loads_book(text: str) -> Book:
             raw_bets = doc["bets"]
         except KeyError as exc:
             raise ValueError(f"book object missing key {exc}") from exc
+        if not isinstance(atom_names, list) or not all(isinstance(a, str) for a in atom_names):
+            raise ValueError('book "atoms" must be a list of names')
     elif isinstance(doc, list):
-        raw_bets = doc
+        raw_bets, atom_names = doc, None
+    else:
+        raise ValueError("book file must be a JSON object or a JSON list of bets")
+    if not isinstance(raw_bets, list):
+        raise ValueError('book "bets" must be a list')
+    for i, raw in enumerate(raw_bets):
+        if not isinstance(raw, dict):
+            raise ValueError(f"bet #{i} is not an object")
+
+    if atom_names is None:
         seen: dict[str, None] = {}
         for raw in raw_bets:
             for field in ("target", "condition"):
@@ -137,14 +151,10 @@ def loads_book(text: str) -> Book:
         atom_names = list(seen)
         if not atom_names:
             raise ValueError("cannot infer an outcome space: no atom names in any bet")
-    else:
-        raise ValueError("book file must be a JSON object or a JSON list of bets")
 
     space = OutcomeSpace(atom_names)
     bets = []
     for i, raw in enumerate(raw_bets):
-        if not isinstance(raw, dict):
-            raise ValueError(f"bet #{i} is not an object")
         try:
             target = parse_expression(space, str(raw["target"]))
             condition = parse_expression(space, str(raw.get("condition", "TRUE")))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from contextlib import contextmanager
 from typing import Optional, Sequence
@@ -22,7 +23,6 @@ from typing import Optional, Sequence
 from . import books, coherence, montecarlo, quantum
 from .errors import CapacityError, NullConditionError
 from .exchangeable import (
-    DEFAULT_N_CAP,
     Measure,
     RunSpec,
     SUCCESSION_CSV_COLUMNS,
@@ -49,6 +49,17 @@ def _measure(text: str) -> Measure:
         raise ValueError(
             f"unknown measure {text!r} (choose pure, flat or bures)"
         ) from exc
+
+
+def _tolerance(text: str) -> float:
+    """Parse ``--tol``: finite and nonnegative, as a NaN tolerance passes every check."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text!r}")
+    return value
 
 
 @contextmanager
@@ -94,13 +105,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--projector", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=quantum.OPERATOR_TOL)
 
     p = sub.add_parser("aggregate", help="pooled update over a projector family")
     p.add_argument("--state", required=True)
     p.add_argument("--projectors", required=True, help="comma list of projector files")
     p.add_argument("--out", default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=quantum.OPERATOR_TOL)
 
     p = sub.add_parser("definetti-verify", help="exact vs Monte Carlo on a small (n, k) grid")
     p.add_argument("--measure", default="all", help="pure, flat, bures or all")
@@ -114,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--book", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=quantum.OPERATOR_TOL)
 
     return parser
 
@@ -132,7 +143,7 @@ def _cmd_succession(args) -> int:
     with _output(args.out) as fh:
         for n in _parse_int_list(args.n):
             k = _pick_k(n, args.k, args.kfrac)
-            value = succession(measure, RunSpec(n, k), n_cap=DEFAULT_N_CAP)
+            value = succession(measure, RunSpec(n, k))
             fh.write(f"{format_rational(value)} {format_decimal(value)}\n")
     return 0
 
@@ -283,3 +294,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -29,8 +29,6 @@ from .feasibility import stakes_forcing_sure_loss
 
 MAX_BOOK_BETS = 16
 MAX_ATOMS = 20
-#: 3**bets outcome words are enumerated by the product-joint average.
-MAX_PRODUCT_JOINT_BETS = 12
 
 RationalLike = Union[Fraction, int, str]
 
@@ -225,12 +223,7 @@ def _payoff_matrix(book: Book) -> list[list[Fraction]]:
     return rows
 
 
-def find_dutch_book(
-    book: Book,
-    *,
-    max_bets: int = MAX_BOOK_BETS,
-    max_atoms: int = MAX_ATOMS,
-) -> Optional[list[Fraction]]:
+def find_dutch_book(book: Book) -> Optional[list[Fraction]]:
     """Search for stakes that lose at least 1 on every outcome.
 
     Returns the stake vector (aligned with ``book.bets``) when the book is
@@ -239,10 +232,10 @@ def find_dutch_book(
     where every bet is called off contribute a payoff-0 row, so any book with
     such an outcome is automatically coherent.
     """
-    if len(book.bets) > max_bets:
-        raise CapacityError(f"book has {len(book.bets)} bets; cap is {max_bets}")
-    if len(book.space) > max_atoms:
-        raise CapacityError(f"outcome space has {len(book.space)} atoms; cap is {max_atoms}")
+    if len(book.bets) > MAX_BOOK_BETS:
+        raise CapacityError(f"book has {len(book.bets)} bets; cap is {MAX_BOOK_BETS}")
+    if len(book.space) > MAX_ATOMS:
+        raise CapacityError(f"outcome space has {len(book.space)} atoms; cap is {MAX_ATOMS}")
     if not book.bets:
         return None
     return stakes_forcing_sure_loss(_payoff_matrix(book))
@@ -393,14 +386,17 @@ def _atom_distribution(
     return probs
 
 
+def _mass(probs: Sequence[Fraction], prop: Proposition) -> Fraction:
+    return sum((probs[i] for i in prop.members), Fraction(0))
+
+
 def event_probability(
     space: OutcomeSpace,
     joint: Union[Sequence[RationalLike], Mapping[str, RationalLike]],
     prop: Proposition,
 ) -> Fraction:
     """Probability of a proposition under an atom-level distribution."""
-    probs = _atom_distribution(space, joint)
-    return sum((probs[i] for i in prop.members), Fraction(0))
+    return _mass(_atom_distribution(space, joint), prop)
 
 
 def average_payoff(
@@ -408,22 +404,22 @@ def average_payoff(
 ) -> Fraction:
     """Expected payoff of the book under a distribution over outcome words.
 
-    When every quotient equals the conditional probability induced by the
-    joint, the result is exactly zero (as a rational identity).
+    By linearity of expectation this is the per-bet sum
+    ``sum_i S_i * (P(T_i & C_i) - q_i * P(C_i))``, exact and O(bets); no
+    outcome is enumerated.  When every quotient equals the conditional
+    probability induced by the joint, the result is exactly zero (as a
+    rational identity).
     """
     probs = _atom_distribution(book.space, joint)
     total = Fraction(0)
-    for word, p in zip(book.space.words(), probs):
-        if p:
-            total += p * payoff(book, word)
+    for bet in book.bets:
+        p_win = _mass(probs, bet.target & bet.condition)
+        total += bet.stake * (p_win - bet.quotient * _mass(probs, bet.condition))
     return total
 
 
 def average_payoff_product_joint(
-    book: Book,
-    joint: Union[Sequence[RationalLike], Mapping[str, RationalLike]],
-    *,
-    max_bets: int = MAX_PRODUCT_JOINT_BETS,
+    book: Book, joint: Union[Sequence[RationalLike], Mapping[str, RationalLike]]
 ) -> Fraction:
     """Expected payoff when the bets' outcomes are treated as independent.
 
@@ -431,49 +427,19 @@ def average_payoff_product_joint(
     from the atom-level ``joint``, and the joint over the whole outcome
     combination is the product of the per-bet marginals.  Repeated bets on
     one proposition therefore get independent outcomes here, unlike
-    :func:`payoff` against a single outcome word.  The full product space is
-    enumerated (3**bets words), hence the dedicated bet cap.
+    :func:`payoff` against a single outcome word.  Each bet's branch
+    probabilities sum to 1, so the expectation is the sum of the per-bet
+    expectations whatever the joint over bets: it is exactly
+    :func:`average_payoff`, computed by the same O(bets) per-bet sum.
     """
-    if len(book.bets) > max_bets:
-        raise CapacityError(
-            f"product joint enumerates 3**{len(book.bets)} words; cap is {max_bets} bets"
-        )
-    probs = _atom_distribution(book.space, joint)
-
-    def mass(prop: Proposition) -> Fraction:
-        return sum((probs[i] for i in prop.members), Fraction(0))
-
-    branches = []
-    for bet in book.bets:
-        p_cond = mass(bet.condition)
-        p_win = mass(bet.target & bet.condition)
-        branches.append(
-            (
-                (p_win, (1 - bet.quotient) * bet.stake),
-                (p_cond - p_win, -bet.quotient * bet.stake),
-                (1 - p_cond, Fraction(0)),
-            )
-        )
-
-    total = Fraction(0)
-
-    def walk(i: int, weight: Fraction, gain: Fraction) -> None:
-        nonlocal total
-        if i == len(branches):
-            total += weight * gain
-            return
-        for p, g in branches[i]:
-            if p:
-                walk(i + 1, weight * p, gain + g)
-
-    walk(0, Fraction(1), Fraction(0))
-    return total
+    return average_payoff(book, joint)
 
 
 def laplace_succession(n: int, k: int) -> Fraction:
     """Predictive probability (k+1)/(n+2) after k successes in n trials."""
     _check_counts(n, k)
-    return Fraction(k + 1, n + 2)
+    g = math.gcd(k + 1, n + 2)
+    return _lowest_terms_fraction((k + 1) // g, (n + 2) // g)
 
 
 #: Rows of Pascal's triangle kept for ``classical_predictive``.  Sweeps touch
@@ -500,7 +466,18 @@ def classical_predictive(n: int, k: int) -> Fraction:
     """
     _check_counts(n, k)
     binom = _pascal_row(n)[k] if n <= _PASCAL_ROW_MAX_N else math.comb(n, k)
-    return Fraction(1, (n + 1) * binom)
+    return _lowest_terms_fraction(1, (n + 1) * binom)
+
+
+def _lowest_terms_fraction(numerator: int, denominator: int) -> Fraction:
+    """``Fraction(numerator, denominator)`` for coprime integers with a
+    positive denominator, without the public constructor's type dispatch and
+    gcd pass, which dominate the Laplace sweeps (the same shortcut as
+    ``Fraction._from_coprime_ints`` on Python 3.12+)."""
+    value = object.__new__(Fraction)
+    value._numerator = numerator
+    value._denominator = denominator
+    return value
 
 
 def _check_counts(n: int, k: int) -> None:

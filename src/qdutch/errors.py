@@ -2,7 +2,7 @@
 
 
 class CapacityError(ValueError):
-    """A configured size cap was exceeded (book size, atom count, dimension, trial count)."""
+    """A size cap was exceeded (book size, atom count, dimension, trial count)."""
 
 
 class NullConditionError(ArithmeticError):

@@ -131,16 +131,14 @@ def beta_half(a2: int, b2: int) -> PiScaledRational:
     return PiScaledRational(coeff, 1)
 
 
-def _check_cap(n: int, n_cap: int) -> None:
-    if n > n_cap:
-        raise CapacityError(f"trial count {n} exceeds the configured cap {n_cap}")
+def _check_cap(n: int) -> None:
+    if n > DEFAULT_N_CAP:
+        raise CapacityError(f"trial count {n} exceeds the cap {DEFAULT_N_CAP}")
 
 
 # --- correction term: literal double binomial sum -------------------------
 
-def correction_term(
-    measure: Measure, spec: RunSpec, *, n_cap: int = DEFAULT_N_CAP
-) -> Fraction:
+def correction_term(measure: Measure, spec: RunSpec) -> Fraction:
     """The factor multiplying the pure-state run probability for a measure.
 
     Computed as the double sum over j in [0, k], l in [0, n-k] of
@@ -150,7 +148,7 @@ def correction_term(
     B(n-r+3/2, r+3/2)`` for the Bures measure.  Identically 1 for the pure
     measure, which makes the predictive formula uniform across measures.
     """
-    _check_cap(spec.n, n_cap)
+    _check_cap(spec.n)
     n, k = spec.n, spec.k
     if measure is Measure.PURE_UNIFORM:
         return Fraction(1)
@@ -221,15 +219,13 @@ def _sigma_upto(measure: Measure, j_max: int) -> list[Fraction]:
     return cache
 
 
-def run_probability(
-    measure: Measure, spec: RunSpec, *, n_cap: int = DEFAULT_N_CAP
-) -> Fraction:
+def run_probability(measure: Measure, spec: RunSpec) -> Fraction:
     """Exact probability of the projector holding on the first k of n trials.
 
     Exchange symmetry is built in: the value depends on (n, k) only, never on
     the order of outcomes.
     """
-    _check_cap(spec.n, n_cap)
+    _check_cap(spec.n)
     n, k = spec.n, spec.k
     if measure is Measure.PURE_UNIFORM:
         # Beta(k+1, n-k+1) in closed form.
@@ -244,28 +240,22 @@ def run_probability(
     return total
 
 
-def succession(
-    measure: Measure, spec: RunSpec, *, n_cap: int = DEFAULT_N_CAP
-) -> Fraction:
+def succession(measure: Measure, spec: RunSpec) -> Fraction:
     """Predictive probability of success number k+1 after k successes in n
     trials: the Laplace rule times the measure's correction ratio.
     """
-    _check_cap(spec.n + 1, n_cap)
-    denom = run_probability(measure, spec, n_cap=n_cap)
-    numer = run_probability(measure, RunSpec(spec.n + 1, spec.k + 1), n_cap=n_cap)
+    _check_cap(spec.n + 1)
+    denom = run_probability(measure, spec)
+    numer = run_probability(measure, RunSpec(spec.n + 1, spec.k + 1))
     return numer / denom
 
 
-def correction_ratio(
-    measure: Measure, spec: RunSpec, *, n_cap: int = DEFAULT_N_CAP
-) -> Fraction:
+def correction_ratio(measure: Measure, spec: RunSpec) -> Fraction:
     """Deviation factor from the Laplace rule (exactly 1 for the pure measure)."""
-    return succession(measure, spec, n_cap=n_cap) * Fraction(spec.n + 2, spec.k + 1)
+    return succession(measure, spec) * Fraction(spec.n + 2, spec.k + 1)
 
 
-def distribution_over_k(
-    measure: Measure, n: int, *, n_cap: int = DEFAULT_N_CAP
-) -> list[Fraction]:
+def distribution_over_k(measure: Measure, n: int) -> list[Fraction]:
     """Exact distribution of the success count over n trials.
 
     Entry k multiplies the single-ordering run probability by C(n, k): by
@@ -274,9 +264,9 @@ def distribution_over_k(
     """
     if n < 0:
         raise ValueError("counts must be nonnegative")
-    _check_cap(n, n_cap)
+    _check_cap(n)
     return [
-        math.comb(n, k) * run_probability(measure, RunSpec(n, k), n_cap=n_cap)
+        math.comb(n, k) * run_probability(measure, RunSpec(n, k))
         for k in range(n + 1)
     ]
 
@@ -320,10 +310,8 @@ def round_half_up(x: Fraction) -> int:
     return math.floor(x + Fraction(1, 2))
 
 
-def succession_row(
-    measure: Measure, spec: RunSpec, *, n_cap: int = DEFAULT_N_CAP
-) -> SuccessionRow:
-    succ = succession(measure, spec, n_cap=n_cap)
+def succession_row(measure: Measure, spec: RunSpec) -> SuccessionRow:
+    succ = succession(measure, spec)
     return SuccessionRow(
         measure=measure,
         n=spec.n,
@@ -338,8 +326,6 @@ def succession_table(
     measure: Measure,
     n_values: Iterable[int],
     k_fraction: Union[Fraction, int, str],
-    *,
-    n_cap: int = DEFAULT_N_CAP,
 ) -> list[SuccessionRow]:
     """Correction-ratio rows along an n grid at a fixed relative frequency.
 
@@ -356,7 +342,7 @@ def succession_table(
             raise ValueError(
                 f"k_fraction {k_fraction} puts k={k} outside [0, {n}]"
             )
-        rows.append(succession_row(measure, RunSpec(n, k), n_cap=n_cap))
+        rows.append(succession_row(measure, RunSpec(n, k)))
     return rows
 
 

@@ -31,6 +31,11 @@ from .exchangeable import Measure, RunSpec, run_probability
 from .rationals import format_rational
 
 
+#: A comparison passes when the estimate lies within this many standard
+#: errors of the exact value.
+Z_THRESHOLD = 4.0
+
+
 class UnstableRatioWarning(UserWarning):
     """The ratio estimator's denominator is too close to zero for its error bar."""
 
@@ -257,9 +262,7 @@ class ComparisonReport:
         }
 
 
-def compare_exact_vs_mc(
-    config: SampleConfig, spec: RunSpec, *, z_threshold: float = 4.0
-) -> ComparisonReport:
+def compare_exact_vs_mc(config: SampleConfig, spec: RunSpec) -> ComparisonReport:
     """Run-probability agreement check between the exact engine and sampling."""
     exact = run_probability(config.measure, spec)
     estimate, stderr = estimate_run_probability(config, spec)
@@ -276,5 +279,5 @@ def compare_exact_vs_mc(
         estimate=estimate,
         stderr=stderr,
         z=z,
-        passed=z <= z_threshold,
+        passed=z <= Z_THRESHOLD,
     )

@@ -16,6 +16,7 @@ conditioning on an event of probability below ``NULL_CONDITION_EPS`` raises
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
@@ -29,8 +30,6 @@ RANGE_CUT = 1e-8
 NULL_CONDITION_EPS = 1e-12
 MIN_DIM = 2
 MAX_DIM = 16
-#: quantum_average_payoff enumerates 4**bets outcome combinations.
-MAX_QUANTUM_BETS = 10
 
 
 def _validated_square(matrix, tol: float) -> np.ndarray:
@@ -42,6 +41,8 @@ def _validated_square(matrix, tol: float) -> np.ndarray:
         raise ValueError(f"dimension {d} is below the minimum {MIN_DIM}")
     if d > MAX_DIM:
         raise CapacityError(f"dimension {d} exceeds the cap {MAX_DIM}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("operator has a non-finite entry")
     sym = 0.5 * (m + m.conj().T)
     if np.max(np.abs(sym - m)) > tol:
         raise ValueError("operator is not Hermitian within tolerance")
@@ -177,9 +178,9 @@ def join(p: Projector, q: Projector) -> Projector:
     return negate(meet(negate(p), negate(q)))
 
 
-def commutes(p: Projector, q: Projector, *, tol: float = OPERATOR_TOL) -> bool:
+def commutes(p: Projector, q: Projector) -> bool:
     _check_dims(p, q)
-    return bool(np.max(np.abs(p.matrix @ q.matrix - q.matrix @ p.matrix)) <= tol)
+    return bool(np.max(np.abs(p.matrix @ q.matrix - q.matrix @ p.matrix)) <= OPERATOR_TOL)
 
 
 def born(rho: DensityOperator, p: Projector) -> float:
@@ -189,47 +190,33 @@ def born(rho: DensityOperator, p: Projector) -> float:
     return min(1.0, max(0.0, value))
 
 
-def conditional(
-    rho: DensityOperator,
-    p: Projector,
-    q: Projector,
-    *,
-    eps: float = NULL_CONDITION_EPS,
-) -> float:
+def _condition_weight(rho: DensityOperator, q: Projector) -> float:
+    """tr(rho Q), refusing a null conditioning event."""
+    weight = float(np.real(np.trace(rho.matrix @ q.matrix)))
+    if weight <= NULL_CONDITION_EPS:
+        raise NullConditionError(
+            f"conditioning event has probability {weight:.3e} <= {NULL_CONDITION_EPS:.0e}"
+        )
+    return weight
+
+
+def conditional(rho: DensityOperator, p: Projector, q: Projector) -> float:
     """Quotient of p given that q was observed true: tr(QrQ P)/tr(rQ)."""
     _check_dims(rho, p, q)
-    weight = float(np.real(np.trace(rho.matrix @ q.matrix)))
-    if weight <= eps:
-        raise NullConditionError(
-            f"conditioning event has probability {weight:.3e} <= {eps:.0e}"
-        )
+    weight = _condition_weight(rho, q)
     qrq = q.matrix @ rho.matrix @ q.matrix
     value = float(np.real(np.trace(qrq @ p.matrix))) / weight
     return min(1.0, max(0.0, value))
 
 
-def luders_update(
-    rho: DensityOperator,
-    q: Projector,
-    *,
-    eps: float = NULL_CONDITION_EPS,
-) -> DensityOperator:
+def luders_update(rho: DensityOperator, q: Projector) -> DensityOperator:
     """Post-observation state Q rho Q / tr(rho Q)."""
     _check_dims(rho, q)
-    weight = float(np.real(np.trace(rho.matrix @ q.matrix)))
-    if weight <= eps:
-        raise NullConditionError(
-            f"conditioning event has probability {weight:.3e} <= {eps:.0e}"
-        )
+    weight = _condition_weight(rho, q)
     return DensityOperator(q.matrix @ rho.matrix @ q.matrix / weight)
 
 
-def aggregated_update(
-    rho: DensityOperator,
-    qs: Sequence[Projector],
-    *,
-    eps: float = NULL_CONDITION_EPS,
-) -> DensityOperator:
+def aggregated_update(rho: DensityOperator, qs: Sequence[Projector]) -> DensityOperator:
     """Pooled post-observation state over a projector family.
 
     Equals the quotient-weighted mixture of the individual updated states:
@@ -239,7 +226,7 @@ def aggregated_update(
         raise ValueError("need at least one conditioning projector")
     _check_dims(rho, *qs)
     total = sum(float(np.real(np.trace(rho.matrix @ q.matrix))) for q in qs)
-    if total <= eps:
+    if total <= NULL_CONDITION_EPS:
         raise NullConditionError(
             f"all conditioning events are null (total probability {total:.3e})"
         )
@@ -252,7 +239,8 @@ class QuantumBet:
     """A conditional bet on ``target`` given ``condition``.
 
     ``quotient=None`` means "derive it from the state" when the bet is
-    evaluated.  Outright bets use the identity as condition.
+    evaluated.  Outright bets use the identity as condition.  A given
+    quotient and the stake must be finite.
     """
 
     target: Projector
@@ -260,61 +248,49 @@ class QuantumBet:
     quotient: Optional[float] = None
     stake: float = 1.0
 
+    def __post_init__(self):
+        if self.quotient is not None and not math.isfinite(self.quotient):
+            raise ValueError(f"quotient must be finite, got {self.quotient}")
+        if not math.isfinite(self.stake):
+            raise ValueError(f"stake must be finite, got {self.stake}")
+
     @classmethod
     def outright(cls, target: Projector, quotient=None, stake=1.0) -> "QuantumBet":
         return cls(target, Projector.identity(target.dim), quotient, stake)
 
 
-def quantum_average_payoff(
-    book: Sequence[QuantumBet],
-    rho: DensityOperator,
-    *,
-    max_bets: int = MAX_QUANTUM_BETS,
-) -> float:
+def quantum_average_payoff(book: Sequence[QuantumBet], rho: DensityOperator) -> float:
     """State-averaged payoff of a book of conditional projector bets.
 
-    Every combination of per-bet (target, condition) outcomes is enumerated;
-    a combination's probability is the product over bets of
-    tr(Q' rho Q' P') with P', Q' the projector or its negation as observed.
-    With quotients given by the state itself the average is zero up to
-    rounding, whatever the stakes.
+    A bet wins ``(1 - q) S`` with probability tr(Q rho Q P), loses ``q S``
+    with probability tr(Q rho Q (1 - P)) and is called off otherwise.  Each
+    bet's outcome probabilities sum to 1, so by linearity of expectation the
+    average is the per-bet sum
+
+        sum_i S_i (tr(Q_i rho Q_i P_i) - q_i tr(rho Q_i))
+
+    whatever the joint over bets; no outcome combination is enumerated.  A
+    quotient left as None is derived from the state as tr(Q rho Q P)/tr(rho Q);
+    with quotients given by the state the average is zero up to rounding,
+    whatever the stakes.
     """
-    if len(book) > max_bets:
-        raise CapacityError(
-            f"average payoff enumerates 4**{len(book)} outcomes; cap is {max_bets} bets"
-        )
     if not book:
         return 0.0
     _check_dims(rho, *(b.target for b in book), *(b.condition for b in book))
-
-    probs = np.array([1.0])
-    gains = np.array([0.0])
+    total = 0.0
     for bet in book:
-        p_m = bet.target.matrix
-        q_m = bet.condition.matrix
-        np_m = np.eye(bet.target.dim) - p_m
-        nq_m = np.eye(bet.target.dim) - q_m
-        qrq = q_m @ rho.matrix @ q_m
-        nqrnq = nq_m @ rho.matrix @ nq_m
-        p_win = float(np.real(np.trace(qrq @ p_m)))
-        p_lose = float(np.real(np.trace(qrq @ np_m)))
-        p_off_t = float(np.real(np.trace(nqrnq @ p_m)))
-        p_off_f = float(np.real(np.trace(nqrnq @ np_m)))
+        qrq = bet.condition.matrix @ rho.matrix @ bet.condition.matrix
+        p_on = float(np.real(np.trace(qrq)))
+        p_win = float(np.real(np.trace(qrq @ bet.target.matrix)))
         quotient = bet.quotient
         if quotient is None:
-            on = p_win + p_lose      # = tr(rho Q)
-            if on <= NULL_CONDITION_EPS:
+            if p_on <= NULL_CONDITION_EPS:
                 raise NullConditionError(
                     "cannot derive a quotient: conditioning event is null"
                 )
-            quotient = p_win / on
-        bet_probs = np.maximum([p_win, p_lose, p_off_t, p_off_f], 0.0)
-        bet_gains = np.array(
-            [(1.0 - quotient) * bet.stake, -quotient * bet.stake, 0.0, 0.0]
-        )
-        probs = np.multiply.outer(probs, bet_probs).ravel()
-        gains = np.add.outer(gains, bet_gains).ravel()
-    return float(probs @ gains)
+            quotient = p_win / p_on
+        total += bet.stake * (p_win - quotient * p_on)
+    return total
 
 
 # --- operator files ---------------------------------------------------------
@@ -334,13 +310,18 @@ def operator_from_json(doc: dict) -> np.ndarray:
     try:
         dim = int(doc["dim"])
         entries = doc["entries"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"operator file missing field: {exc}") from exc
+    if not isinstance(entries, list):
+        raise ValueError("operator file entries must be a list")
     if len(entries) != dim * dim:
         raise ValueError(
             f"operator file dim={dim} needs {dim * dim} entries, found {len(entries)}"
         )
-    flat = np.array([complex(re, im) for re, im in entries])
+    try:
+        flat = np.array([complex(re, im) for re, im in entries])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"operator entries must be [re, im] number pairs: {exc}") from exc
     return flat.reshape(dim, dim)
 
 
@@ -351,7 +332,7 @@ def save_operator(matrix: np.ndarray, path: Union[str, Path]) -> None:
 def _load_json(path: Union[str, Path]) -> dict:
     try:
         return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
 
 
@@ -376,10 +357,14 @@ def load_quantum_book(
     try:
         dim = int(doc["dim"])
         raw_bets = doc["bets"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"{path}: book file missing field: {exc}") from exc
+    if not isinstance(raw_bets, list):
+        raise ValueError(f'{path}: book "bets" must be a list')
     bets = []
     for i, raw in enumerate(raw_bets):
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: bet #{i} is not an object")
         try:
             target = Projector(
                 operator_from_json({"dim": dim, "entries": raw["target"]}), tol=tol
@@ -392,8 +377,7 @@ def load_quantum_book(
                 )
             quotient = raw.get("quotient")
             quotient = None if quotient is None else float(quotient)
-            stake = float(raw.get("stake", 1.0))
-        except (KeyError, TypeError, ValueError) as exc:
+            bets.append(QuantumBet(target, condition, quotient, float(raw.get("stake", 1.0))))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}: bet #{i}: {exc}") from exc
-        bets.append(QuantumBet(target, condition, quotient, stake))
     return bets

@@ -32,6 +32,6 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def format_decimal(value, sig: int = 12) -> str:
-    """Render a number with `sig` significant digits for presentation output."""
-    return f"{float(value):.{sig}g}"
+def format_decimal(value) -> str:
+    """Render a number with 12 significant digits for presentation output."""
+    return f"{float(value):.12g}"

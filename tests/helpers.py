@@ -6,6 +6,8 @@ construction, never through the code paths under test.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +21,9 @@ from qdutch import (
     OutcomeSpace,
     Projector,
     Proposition,
+    QuantumBet,
     event_probability,
+    payoff,
 )
 
 # --- classical random books -------------------------------------------------
@@ -92,6 +96,69 @@ def violating_book(
         bet.target, bet.condition, bet.quotient + residual / p_cond, bet.stake
     )
     return Book(space, bets)
+
+
+# --- brute-force payoff oracles ------------------------------------------------
+#
+# The library computes expected payoffs as per-bet sums (linearity of
+# expectation).  These enumerate the outcome combinations literally, so they
+# check that sum by an independent route; their cost is exponential in the
+# number of bets, so keep books small.
+
+
+def word_joint_average(book: Book, joint: list[Fraction]) -> Fraction:
+    """Expected payoff over the book's outcome words: sum_w P(w) payoff(w)."""
+    return sum(
+        (p * payoff(book, word) for word, p in zip(book.space.words(), joint)),
+        Fraction(0),
+    )
+
+
+def product_joint_average(book: Book, joint: list[Fraction]) -> Fraction:
+    """Expected payoff over all 3**bets win / lose / called-off words, each
+    weighted by the product of its per-bet probabilities."""
+    branches = []
+    for bet in book.bets:
+        p_cond = event_probability(book.space, joint, bet.condition)
+        p_win = event_probability(book.space, joint, bet.target & bet.condition)
+        branches.append(
+            (
+                (p_win, (1 - bet.quotient) * bet.stake),
+                (p_cond - p_win, -bet.quotient * bet.stake),
+                (1 - p_cond, Fraction(0)),
+            )
+        )
+    return sum(
+        (
+            math.prod((p for p, _ in word), start=Fraction(1)) * sum(g for _, g in word)
+            for word in itertools.product(*branches)
+        ),
+        Fraction(0),
+    )
+
+
+def enumerated_quantum_average(book: list[QuantumBet], rho: DensityOperator) -> float:
+    """State-averaged payoff over all 4**bets outcome combinations.
+
+    A combination fixes, for every bet, whether its condition and its target
+    were observed true; its probability is the product over bets of
+    tr(Q' rho Q' P') with P', Q' the projector or its negation as observed.
+    """
+    probs = np.array([1.0])
+    gains = np.array([0.0])
+    for bet in book:
+        eye = np.eye(bet.target.dim)
+        p_m, q_m = bet.target.matrix, bet.condition.matrix
+        qrq = q_m @ rho.matrix @ q_m
+        nqrnq = (eye - q_m) @ rho.matrix @ (eye - q_m)
+        p_win = np.trace(qrq @ p_m).real
+        p_lose = np.trace(qrq @ (eye - p_m)).real
+        quotient = p_win / (p_win + p_lose) if bet.quotient is None else bet.quotient
+        bet_probs = [p_win, p_lose, np.trace(nqrnq @ p_m).real, np.trace(nqrnq @ (eye - p_m)).real]
+        bet_gains = [(1.0 - quotient) * bet.stake, -quotient * bet.stake, 0.0, 0.0]
+        probs = np.multiply.outer(probs, bet_probs).ravel()
+        gains = np.add.outer(gains, bet_gains).ravel()
+    return float(probs @ gains)
 
 
 # --- quantum randomizers ------------------------------------------------------

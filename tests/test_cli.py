@@ -1,9 +1,17 @@
 """End-to-end command-line behavior, including exit-code contracts."""
 
+import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdutch import cli
 from qdutch.quantum import operator_to_json
@@ -221,3 +229,147 @@ class TestArgumentHandling:
 
     def test_unknown_command_exits_two(self, capsys):
         assert cli.main(["frobnicate"]) == 2
+
+
+class TestMalformedInputs:
+    """Each malformed input exits 2 with one line on stderr and no traceback."""
+
+    def _run(self, argv, capsys):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.err.startswith("error: ")
+        return captured
+
+    def test_bare_list_of_non_objects(self, tmp_path, capsys):
+        path = write_json(tmp_path / "bare.json", [1, 2])
+        captured = self._run(["coherence-check", path], capsys)
+        assert "bet #0 is not an object" in captured.err
+
+    def test_nan_state(self, tmp_path, capsys):
+        nan_state = [[float("nan"), 0], [0, 0], [0, 0], [0.5, 0]]
+        state = write_json(tmp_path / "nan.json", {"dim": 2, "entries": nan_state})
+        proj = write_json(tmp_path / "up.json", {"dim": 2, "entries": UP})
+        captured = self._run(["luders", "--state", state, "--projector", proj], capsys)
+        assert captured.out == ""
+
+    def test_infinite_stake(self, tmp_path, mixed_state, capsys):
+        book = write_json(
+            tmp_path / "inf.json",
+            {"dim": 2, "bets": [{"target": UP, "condition": None, "stake": float("inf")}]},
+        )
+        captured = self._run(["quantum-book", "--state", mixed_state, "--book", book], capsys)
+        assert captured.out == ""
+        assert "stake must be finite" in captured.err
+
+    def test_deep_nesting(self, tmp_path, mixed_state, capsys):
+        deep_json = tmp_path / "deep.json"
+        deep_json.write_text("[" * 100_000 + "]" * 100_000)
+        self._run(["coherence-check", str(deep_json)], capsys)
+        self._run(["luders", "--state", str(deep_json), "--projector", mixed_state], capsys)
+        bet = {"target": "!" * 5_000 + "a", "quotient": "1/2"}
+        deep_expr = write_json(tmp_path / "expr.json", {"atoms": ["a"], "bets": [bet]})
+        self._run(["coherence-check", deep_expr], capsys)
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9", "x"])
+    def test_non_finite_or_negative_tolerance(self, tmp_path, mixed_state, tol, capsys):
+        book = write_json(
+            tmp_path / "bad.json",
+            {"dim": 2, "bets": [{"target": [[2.0, 0], [0, 0], [0, 0], [0, 0]], "stake": 1.0}]},
+        )
+        argv = ["quantum-book", "--state", mixed_state, "--book", book, f"--tol={tol}"]
+        assert cli.main(argv) == 2
+        assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["qdutch", "qdutch.cli"])
+def test_runs_as_a_module(module):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-m", module, "succession", "--measure", "flat", "--n", "10", "--k", "3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "2759/6792 0.406213191991\n"
+
+
+# --- fuzzing the file loaders through main() -------------------------------
+
+_json_leaf = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+_json = st.recursive(
+    _json_leaf,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+_number = st.integers() | st.floats()
+_entries = st.sampled_from([UP, DOWN, PLUS]) | st.lists(
+    st.lists(_number, min_size=2, max_size=2), max_size=5
+) | _json
+_operator = st.fixed_dictionaries({"dim": st.integers(-1, 3) | _json, "entries": _entries}) | _json
+
+_expression = st.sampled_from(["a", "b", "!a", "a & b", "a | !b", "(a", "TRUE", "FALSE", "c", "a $"])
+_rational = st.sampled_from(["1/2", "3/5", "-1/3", "2", "1/0", "0.5", ""])
+_bet = st.fixed_dictionaries(
+    {"target": _expression | _json, "quotient": _rational | _json},
+    optional={"condition": _expression | _json, "stake": _rational | _json},
+)
+_book = (
+    st.lists(_bet | _json, max_size=5)
+    | st.fixed_dictionaries({"atoms": st.just(["a", "b"]) | _json, "bets": st.lists(_bet, max_size=5) | _json})
+    | _json
+)
+_quantum_bet = st.fixed_dictionaries(
+    {"target": _entries},
+    optional={"condition": st.none() | _entries, "quotient": st.none() | _number | _json,
+              "stake": _number | _json},
+)
+_quantum_book = (
+    st.fixed_dictionaries({"dim": st.just(2) | _json, "bets": st.lists(_quantum_bet, max_size=4) | _json})
+    | _json
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz")
+    write_json(directory / "state.json", {"dim": 2, "entries": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]})
+    write_json(directory / "proj.json", {"dim": 2, "entries": PLUS})
+    return directory
+
+
+def _fuzz_main(argv):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().startswith("error: ")
+
+
+class TestLoaderFuzz:
+    """Arbitrary JSON files never make main() raise or return another code."""
+
+    @given(doc=_book, command=st.sampled_from(["coherence-check", "axioms-check"]))
+    @settings(max_examples=150, deadline=None)
+    def test_classical_book(self, fuzz_dir, doc, command):
+        path = write_json(fuzz_dir / "book.json", doc)
+        _fuzz_main([command, path])
+
+    @given(doc=_quantum_book)
+    @settings(max_examples=150, deadline=None)
+    def test_quantum_book(self, fuzz_dir, doc):
+        path = write_json(fuzz_dir / "qbook.json", doc)
+        _fuzz_main(["quantum-book", "--state", str(fuzz_dir / "state.json"), "--book", path])
+
+    @given(doc=_operator, fuzz_state=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_luders(self, fuzz_dir, doc, fuzz_state):
+        path = write_json(fuzz_dir / "op.json", doc)
+        state, proj = str(fuzz_dir / "state.json"), str(fuzz_dir / "proj.json")
+        if fuzz_state:
+            state = path
+        else:
+            proj = path
+        _fuzz_main(["luders", "--state", state, "--projector", proj])

@@ -1,5 +1,6 @@
 """Classical betting books: payoffs, Dutch-book detection, axioms."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -24,7 +25,14 @@ from qdutch import (
     laplace_succession,
     payoff,
 )
-from helpers import coherent_book, random_joint, random_space, violating_book
+from helpers import (
+    coherent_book,
+    product_joint_average,
+    random_joint,
+    random_space,
+    violating_book,
+    word_joint_average,
+)
 
 F = Fraction
 
@@ -325,10 +333,46 @@ class TestAveragePayoff:
                 skewed, joint
             )
 
-    def test_product_joint_bet_cap(self, coin):
-        bets = [outright(coin.atom("a"), "1/2")] * 13
-        with pytest.raises(CapacityError):
-            average_payoff_product_joint(Book(coin, bets), [F(1, 2), F(1, 2)])
+    def test_both_averages_match_their_enumerations(self):
+        # per-bet sums against the literal word walk and 3**bets walk
+        rng = random.Random(79)
+        for _ in range(40):
+            space = random_space(rng)
+            joint = random_joint(rng, space)
+            book = coherent_book(rng, space, joint, rng.randint(1, 6))
+            skewed = Book(
+                space,
+                [
+                    ConditionalBet(
+                        b.target,
+                        b.condition,
+                        b.quotient + F(rng.randint(-20, 20), 100),
+                        b.stake,
+                    )
+                    for b in book.bets
+                ],
+            )
+            assert average_payoff(skewed, joint) == word_joint_average(skewed, joint)
+            assert average_payoff_product_joint(skewed, joint) == product_joint_average(
+                skewed, joint
+            )
+
+    def test_long_books_have_no_bet_cap(self):
+        # 200 bets: far past any enumeration, still exact
+        rng = random.Random(80)
+        space = random_space(rng)
+        joint = random_joint(rng, space)
+        book = coherent_book(rng, space, joint, 200)
+        assert average_payoff_product_joint(book, joint) == 0
+        index = rng.randrange(len(book.bets))
+        bet = book.bets[index]
+        delta = F(1, 7)
+        bets = list(book.bets)
+        bets[index] = ConditionalBet(bet.target, bet.condition, bet.quotient + delta, bet.stake)
+        p_cond = event_probability(space, joint, bet.condition)
+        expected = -delta * p_cond * bet.stake
+        assert average_payoff_product_joint(Book(space, bets), joint) == expected
+        assert average_payoff(Book(space, bets), joint) == expected
 
     def test_repeated_bets_get_independent_outcomes_in_product_joint(self, coin):
         # a fair bet repeated twice: win/lose combinations each carry weight 1/4
@@ -367,6 +411,19 @@ class TestSuccessionLaws:
         assert 0 < value < 1
         if k >= 1:
             assert abs(value - F(k, n)) <= F(3, n + 2)
+
+    def test_values_match_the_public_constructor(self):
+        # both build their Fractions directly; == and hash compare the stored
+        # numerator and denominator, so unreduced values would fail here
+        for n in (0, 1, 2, 9, 30, 61, 2001):
+            for k in range(n + 1):
+                for value, expected in (
+                    (laplace_succession(n, k), F(k + 1, n + 2)),
+                    (classical_predictive(n, k), F(1, (n + 1) * math.comb(n, k))),
+                ):
+                    assert type(value) is F and value == expected
+                    assert hash(value) == hash(expected)
+                    assert value + 0 == expected and str(value) == str(expected)
 
     def test_predictive_values(self):
         assert classical_predictive(1, 1) == F(1, 2)

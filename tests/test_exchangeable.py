@@ -14,6 +14,7 @@ import pytest
 
 from qdutch import (
     CapacityError,
+    DEFAULT_N_CAP,
     Measure,
     PiScaledRational,
     RunSpec,
@@ -152,9 +153,9 @@ class TestCorrectionTerm:
     def test_cap_enforced(self):
         with pytest.raises(CapacityError):
             correction_term(Measure.FLAT, RunSpec(2001, 5))
-        # a configurable lower cap also trips
+        # the cap is the module constant; it trips before any work is done
         with pytest.raises(CapacityError):
-            correction_term(Measure.FLAT, RunSpec(51, 5), n_cap=50)
+            correction_term(Measure.FLAT, RunSpec(DEFAULT_N_CAP + 1, 5))
 
 
 class TestReindexingIdentity:

@@ -27,7 +27,12 @@ from qdutch import (
     quantum_average_payoff,
     save_operator,
 )
-from helpers import commuting_pair, random_density, random_projector
+from helpers import (
+    commuting_pair,
+    enumerated_quantum_average,
+    random_density,
+    random_projector,
+)
 
 UP = Projector.from_ket([1, 0])
 DOWN = Projector.from_ket([0, 1])
@@ -57,6 +62,22 @@ class TestValidation:
             DensityOperator(np.diag([0.7, 0.7]))
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityOperator(np.diag([1.5, -0.5]))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            Projector([[bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityOperator([[0.5, 0.0], [0.0, bad]])
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityOperator([[0.5, complex(0, bad)], [complex(0, -bad), 0.5]])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_stake_or_quotient_rejected(self, bad):
+        with pytest.raises(ValueError, match="stake"):
+            QuantumBet.outright(UP, 0.5, stake=bad)
+        with pytest.raises(ValueError, match="quotient"):
+            QuantumBet.outright(UP, bad)
 
     def test_dimension_bounds(self):
         with pytest.raises(ValueError):
@@ -336,11 +357,38 @@ class TestQuantumAveragePayoff:
     def test_empty_book_is_zero(self):
         assert quantum_average_payoff([], DensityOperator.maximally_mixed(2)) == 0.0
 
-    def test_bet_cap(self):
-        rho = DensityOperator.maximally_mixed(2)
-        book = [QuantumBet.outright(UP, 0.5)] * 11
-        with pytest.raises(CapacityError):
-            quantum_average_payoff(book, rho)
+    def test_matches_the_outcome_enumeration(self):
+        # the per-bet sum against the literal 4**bets enumeration
+        rng = np.random.default_rng(44)
+        for _ in range(60):
+            d = int(rng.integers(2, 5))
+            rho = random_density(rng, d)
+            book = []
+            for _ in range(int(rng.integers(1, 7))):
+                p, q = random_projector(rng, d), random_projector(rng, d)
+                quotient = None if rng.random() < 0.5 else float(rng.uniform(0, 1))
+                book.append(QuantumBet(p, q, quotient, float(rng.uniform(-2, 2))))
+            total = sum(abs(b.stake) for b in book)
+            assert abs(
+                quantum_average_payoff(book, rho) - enumerated_quantum_average(book, rho)
+            ) <= 1e-12 * total
+
+    def test_long_books_have_no_bet_cap(self):
+        # 200 bets: a 4**200 enumeration, answered per bet
+        rng = np.random.default_rng(45)
+        rho = random_density(rng, 3)
+        book = [
+            QuantumBet(random_projector(rng, 3), random_projector(rng, 3),
+                       stake=float(rng.uniform(-2, 2)))
+            for _ in range(200)
+        ]
+        total = sum(abs(b.stake) for b in book)
+        assert abs(quantum_average_payoff(book, rho)) <= 1e-10 * total
+        bet, delta = book[17], 0.1
+        fair = conditional(rho, bet.target, bet.condition)
+        book[17] = QuantumBet(bet.target, bet.condition, fair + delta, bet.stake)
+        expected = -delta * born(rho, bet.condition) * bet.stake
+        assert abs(quantum_average_payoff(book, rho) - expected) <= 1e-10 * total
 
 
 class TestOperatorFiles:
