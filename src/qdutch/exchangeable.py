@@ -35,7 +35,7 @@ from .coherence import laplace_succession
 from .errors import CapacityError
 from .rationals import format_decimal, format_rational
 
-#: Largest trial count accepted by the exact engine (runtimes stay desk-scale).
+#: Largest trial count accepted: it bounds input, and `correction_term` is O(n**2).
 DEFAULT_N_CAP = 2000
 
 
@@ -185,14 +185,15 @@ def correction_term(measure: Measure, spec: RunSpec) -> Fraction:
 # [lam2, lam1].  Averaging t exactly turns the run probability into a short
 # alternating sum over the symmetrized eigenvalue moments
 #   sigma_j = E[ sum_{a+b=j} lam1**a lam2**b ],
-# which this module accumulates in integer arithmetic and caches per measure.
-# The route is an exact algebraic regrouping of the double binomial sum used
-# by `correction_term`; the test suite pins the two against each other.
+# cached per measure and built from sigma_0 = 1 by one recurrence each:
+#   flat:  sigma_j = sigma_{j-1}/2 + 1/(j+1);
+#   Bures: sigma_j = sigma_{j-1} * (j+1)(2j+1) / (2j(j+2)).
+# Rows of the success-count distribution start from P(m, m) = sigma_m/(m+1)
+# and fill in by P(m, k) = P(m-1, k) - P(m, k+1): trial m succeeds or fails.
+# Both exactly regroup the double sum in `correction_term`; tests pin the two.
 
 _sigma_lock = threading.Lock()
 _sigma_cache: dict[Measure, list[Fraction]] = {Measure.FLAT: [], Measure.BURES: []}
-_flat_factorials = [1]       # i!
-_bures_ratios = [1]          # (2i)!/i!
 
 
 def _sigma_upto(measure: Measure, j_max: int) -> list[Fraction]:
@@ -200,22 +201,14 @@ def _sigma_upto(measure: Measure, j_max: int) -> list[Fraction]:
     if len(cache) > j_max:
         return cache
     with _sigma_lock:
+        if not cache:
+            cache.append(Fraction(1))
         while len(cache) <= j_max:
-            j = len(cache)
+            j, prev = len(cache), cache[-1]
             if measure is Measure.FLAT:
-                while len(_flat_factorials) <= j + 1:
-                    _flat_factorials.append(_flat_factorials[-1] * len(_flat_factorials))
-                num = sum(_flat_factorials[a] * _flat_factorials[j - a] for a in range(j + 1))
-                cache.append(Fraction(num, _flat_factorials[j + 1]))
+                cache.append(prev / 2 + Fraction(1, j + 1))
             else:
-                while len(_bures_ratios) <= j:
-                    i = len(_bures_ratios)
-                    _bures_ratios.append(_bures_ratios[-1] * 2 * (2 * i - 1))
-                num = 8 * sum(
-                    ((2 * a - j) ** 2 + j + 1) * _bures_ratios[a] * _bures_ratios[j - a]
-                    for a in range(j + 1)
-                )
-                cache.append(Fraction(num, 4 ** (j + 1) * math.factorial(j + 2)))
+                cache.append(prev * Fraction((j + 1) * (2 * j + 1), 2 * j * (j + 2)))
     return cache
 
 
@@ -265,10 +258,16 @@ def distribution_over_k(measure: Measure, n: int) -> list[Fraction]:
     if n < 0:
         raise ValueError("counts must be nonnegative")
     _check_cap(n)
-    return [
-        math.comb(n, k) * run_probability(measure, RunSpec(n, k))
-        for k in range(n + 1)
-    ]
+    if measure is Measure.PURE_UNIFORM:
+        return [Fraction(1, n + 1)] * (n + 1)
+    diagonal = [s / (m + 1) for m, s in enumerate(_sigma_upto(measure, n)[: n + 1])]
+    denom = math.lcm(*(d.denominator for d in diagonal))
+    row = []  # integer numerators over denom, overwritten row by row in place
+    for d in diagonal:
+        row.append(d.numerator * (denom // d.denominator))
+        for k in range(len(row) - 2, -1, -1):
+            row[k] -= row[k + 1]
+    return [Fraction(math.comb(n, k) * p, denom) for k, p in enumerate(row)]
 
 
 # --- succession tables ------------------------------------------------------

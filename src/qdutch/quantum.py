@@ -352,6 +352,7 @@ def load_quantum_book(
     Format: {"dim": d, "bets": [{"target": entries, "condition": entries or
     null, "quotient": number or null, "stake": number}]} where entries use
     the operator-file convention; a null condition means an outright bet.
+    The total |stake| must be finite.
     """
     doc = _load_json(path)
     try:
@@ -361,23 +362,23 @@ def load_quantum_book(
         raise ValueError(f"{path}: book file missing field: {exc}") from exc
     if not isinstance(raw_bets, list):
         raise ValueError(f'{path}: book "bets" must be a list')
+
+    def projector(entries) -> Projector:
+        return Projector(operator_from_json({"dim": dim, "entries": entries}), tol=tol)
+
     bets = []
     for i, raw in enumerate(raw_bets):
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: bet #{i} is not an object")
         try:
-            target = Projector(
-                operator_from_json({"dim": dim, "entries": raw["target"]}), tol=tol
-            )
-            if raw.get("condition") is None:
-                condition = Projector.identity(dim)
-            else:
-                condition = Projector(
-                    operator_from_json({"dim": dim, "entries": raw["condition"]}), tol=tol
-                )
+            target = projector(raw["target"])
+            condition = raw.get("condition")
+            condition = Projector.identity(dim) if condition is None else projector(condition)
             quotient = raw.get("quotient")
             quotient = None if quotient is None else float(quotient)
             bets.append(QuantumBet(target, condition, quotient, float(raw.get("stake", 1.0))))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}: bet #{i}: {exc}") from exc
+    if not math.isfinite(sum(abs(bet.stake) for bet in bets)):
+        raise ValueError(f"{path}: total |stake| overflows a float")
     return bets

@@ -215,7 +215,8 @@ def oracle_run_probability(measure: Measure, n: int, k: int) -> Fraction:
 
     Integrates q**k (1-q)**(n-k) with q = lam*t + (1-lam)*(1-t) over the
     measure's eigenvalue density and uniform t.  Keep n small: symbolic
-    integration cost grows quickly.
+    integration cost grows quickly.  The Bures branch integrates t first and
+    then each monomial in lam against the arcsine weight, with sympy's Beta.
     """
     import sympy as sp
 
@@ -227,9 +228,14 @@ def oracle_run_probability(measure: Measure, n: int, k: int) -> Fraction:
     elif measure is Measure.FLAT:
         value = sp.integrate(sp.integrate(integrand, (t, 0, 1)), (lam, 0, 1))
     else:
-        weight = 2 / sp.pi * (2 * lam - 1) ** 2 / sp.sqrt(lam * (1 - lam))
-        inner = sp.expand(weight * sp.integrate(integrand, (t, 0, 1)))
-        value = sp.simplify(sp.integrate(inner, (lam, 0, 1)))
+        # The density is (2/pi) (2 lam - 1)**2 times the arcsine weight
+        # 1/sqrt(lam (1 - lam)), whose moment of lam**a is B(a + 1/2, 1/2).
+        poly = sp.Poly(2 * (2 * lam - 1) ** 2 * sp.integrate(integrand, (t, 0, 1)), lam)
+        half = sp.Rational(1, 2)
+        value = sum(
+            (c * sp.beta(a + half, half).rewrite(sp.gamma) / sp.pi for (a,), c in poly.terms()),
+            sp.Integer(0),
+        )
     rational = sp.nsimplify(value, rational=True)
     return Fraction(int(rational.p), int(rational.q))
 
@@ -241,3 +247,30 @@ def oracle_beta(a: Fraction, b: Fraction):
     a_s = sp.Rational(a.numerator, a.denominator)
     b_s = sp.Rational(b.numerator, b.denominator)
     return sp.simplify(sp.beta(a_s, b_s).rewrite(sp.gamma))
+
+
+# --- eigenvalue-moment oracle -------------------------------------------------
+
+
+def convolution_sigmas(measure: Measure, j_max: int) -> list[Fraction]:
+    """Symmetrized eigenvalue moments sigma_0 .. sigma_j_max by convolution.
+
+    sigma_j = sum_{a+b=j} E[lam**a (1-lam)**b] from the measure's Beta-type
+    moments: a! b! / (j+1)! for the flat measure, and for the Bures measure
+    8 ((2a-j)**2 + j + 1) (2a)!/a! (2b)!/b! / (4**(j+1) (j+2)!).  O(j) work
+    per moment, independent of the library's one-step recurrences.
+    """
+    fact = [math.factorial(i) for i in range(2 * j_max + 3)]
+    if measure is Measure.FLAT:
+        return [
+            Fraction(sum(fact[a] * fact[j - a] for a in range(j + 1)), fact[j + 1])
+            for j in range(j_max + 1)
+        ]
+    ratios = [fact[2 * i] // fact[i] for i in range(j_max + 1)]  # (2i)!/i!
+    return [
+        Fraction(
+            8 * sum(((2 * a - j) ** 2 + j + 1) * ratios[a] * ratios[j - a] for a in range(j + 1)),
+            4 ** (j + 1) * fact[j + 2],
+        )
+        for j in range(j_max + 1)
+    ]

@@ -263,6 +263,13 @@ class TestMalformedInputs:
         assert captured.out == ""
         assert "stake must be finite" in captured.err
 
+    def test_overflowing_total_stake(self, tmp_path, mixed_state, capsys):
+        bet = {"target": UP, "condition": None, "stake": 1e308}
+        book = write_json(tmp_path / "big.json", {"dim": 2, "bets": [bet, bet]})
+        captured = self._run(["quantum-book", "--state", mixed_state, "--book", book], capsys)
+        assert captured.out == ""
+        assert "total |stake|" in captured.err
+
     def test_deep_nesting(self, tmp_path, mixed_state, capsys):
         deep_json = tmp_path / "deep.json"
         deep_json.write_text("[" * 100_000 + "]" * 100_000)

@@ -7,6 +7,7 @@ only on tiny inputs.
 
 import io
 import math
+import sys
 import threading
 from fractions import Fraction
 
@@ -30,7 +31,8 @@ from qdutch import (
     succession_table,
     write_succession_csv,
 )
-from helpers import oracle_beta, oracle_run_probability
+from qdutch import exchangeable
+from helpers import convolution_sigmas, oracle_beta, oracle_run_probability
 
 F = Fraction
 
@@ -132,8 +134,8 @@ class TestCorrectionTerm:
 
     def test_against_quadrature_oracle(self):
         # the frozen anchors above cover n = 2; the live symbolic oracle is
-        # kept to small n (the Bures integrand is expensive for sympy)
-        grids = {Measure.FLAT: 2, Measure.BURES: 1}
+        # kept to small n (symbolic integration cost grows quickly)
+        grids = {Measure.FLAT: 3, Measure.BURES: 3}
         for measure, n_max in grids.items():
             for n in range(0, n_max + 1):
                 for k in range(n + 1):
@@ -176,6 +178,14 @@ class TestReindexingIdentity:
                             * beta_int(n - k + 1, k + 1).as_fraction()
                         )
                         assert lhs == rhs
+
+
+class TestMomentRecurrences:
+    def test_recurrences_equal_the_convolution(self):
+        # j <= 600 keeps the O(j**2) oracle near a second; the recurrences
+        # themselves reach the cap in a fraction of that
+        for measure in (Measure.FLAT, Measure.BURES):
+            assert exchangeable._sigma_upto(measure, 600)[:601] == convolution_sigmas(measure, 600)
 
 
 class TestRunProbability:
@@ -285,6 +295,15 @@ class TestDistributionOverK:
             for n in range(0, 61):
                 assert sum(distribution_over_k(measure, n)) == 1
 
+    def test_entries_equal_binomial_times_run_probability(self):
+        # the row recurrence against the per-cell alternating sum, entry by entry
+        for measure in ALL_MEASURES:
+            for n in (0, 1, 2, 7, 50, 201):
+                assert distribution_over_k(measure, n) == [
+                    math.comb(n, k) * run_probability(measure, RunSpec(n, k))
+                    for k in range(n + 1)
+                ], (measure, n)
+
     def test_entries_nonnegative(self):
         for measure in ALL_MEASURES:
             for value in distribution_over_k(measure, 17):
@@ -387,16 +406,37 @@ class TestRunSpecValidation:
 
 
 class TestConcurrency:
-    def test_concurrent_probability_calls_agree_with_serial(self):
-        serial = run_probability(Measure.BURES, RunSpec(60, 31))
+    MEASURES = (Measure.FLAT, Measure.BURES)
+    SPEC = RunSpec(400, 123)
+
+    def _cold_caches(self, monkeypatch):
+        for measure in self.MEASURES:
+            monkeypatch.setitem(exchangeable._sigma_cache, measure, [])
+
+    def test_concurrent_probability_calls_agree_with_serial(self, monkeypatch):
+        self._cold_caches(monkeypatch)
+        serial = {m: run_probability(m, self.SPEC) for m in self.MEASURES}
         results = []
 
-        def work():
-            results.append(run_probability(Measure.BURES, RunSpec(60, 31)))
+        def work(measure, barrier):
+            barrier.wait()
+            results.append((measure, run_probability(measure, self.SPEC)))
 
-        threads = [threading.Thread(target=work) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert results == [serial] * 8
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so fills interleave
+        try:
+            for _ in range(5):  # each round races on freshly emptied caches
+                self._cold_caches(monkeypatch)
+                barrier = threading.Barrier(8)
+                threads = [
+                    threading.Thread(target=work, args=(self.MEASURES[i % 2], barrier))
+                    for i in range(8)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join()
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert len(results) == 40
+        assert all(value == serial[measure] for measure, value in results)

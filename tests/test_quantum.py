@@ -434,3 +434,10 @@ class TestOperatorFiles:
         assert book[0].quotient == 0.5
         assert book[1].quotient is None
         assert book[1].condition.rank == 2  # outright: identity condition
+
+    def test_quantum_book_with_overflowing_total_stake_rejected(self, tmp_path):
+        bet = {"target": operator_to_json(UP.matrix)["entries"], "stake": -1e308}
+        path = tmp_path / "book.json"
+        path.write_text(json.dumps({"dim": 2, "bets": [bet, bet]}))
+        with pytest.raises(ValueError, match="total"):
+            load_quantum_book(path)
