@@ -45,4 +45,4 @@ for measure in Measure:
         f"  {measure.value:5s}: exact {exact:.6f}, estimate {estimate:.6f} +/- {stderr:.6f}"
     )
 
-print("\n(identical seeds give bit-identical numbers, whatever QDUTCH_THREADS is)")
+print("\n(the same seed and sample count give bit-identical numbers)")

@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 from . import books, coherence, montecarlo, quantum
 from .errors import CapacityError, NullConditionError
 from .exchangeable import (
+    DEFAULT_N_CAP,
     Measure,
     RunSpec,
     SUCCESSION_CSV_COLUMNS,
@@ -228,6 +229,8 @@ def _cmd_definetti_verify(args) -> int:
         measures = list(Measure)
     else:
         measures = [_measure(args.measure)]
+    if not 0 <= args.nmax <= DEFAULT_N_CAP:
+        raise ValueError(f"--nmax must lie in [0, {DEFAULT_N_CAP}], got {args.nmax}")
     reports = []
     for measure in measures:
         config = montecarlo.SampleConfig(

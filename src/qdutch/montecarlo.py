@@ -8,18 +8,15 @@ part of every measure ``t`` is uniform on [0, 1], so the single-trial
 success probability is ``q = lambda1*t + (1 - lambda1)*(1 - t)``; the two
 remaining rotation angles never enter and are integrated out analytically.
 
-Determinism contract: for a fixed (seed, samples, chunk) the output is
-bit-identical regardless of worker count.  Chunk ``c`` always covers samples
-``[c*chunk, (c+1)*chunk)`` and draws from an independent substream seeded by
-``[seed, c]``; chunk results are reduced in chunk order.  Fan-out across
-chunks is controlled by the ``QDUTCH_THREADS`` environment variable.
+Determinism contract: for a fixed (seed, samples) the output is
+bit-identical.  Chunk ``c`` always covers samples ``[c*CHUNK, (c+1)*CHUNK)``
+and draws from an independent substream seeded by ``[seed, c]``; chunks are
+drawn and reduced in chunk order, in one sequential stream.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
@@ -35,6 +32,9 @@ from .rationals import format_rational
 #: errors of the exact value.
 Z_THRESHOLD = 4.0
 
+#: Samples per chunk; chunk ``c`` draws from the substream ``[seed, c]``.
+CHUNK = 131_072
+
 
 class UnstableRatioWarning(UserWarning):
     """The ratio estimator's denominator is too close to zero for its error bar."""
@@ -45,15 +45,16 @@ class SampleConfig:
     measure: Measure
     seed: int = 42
     samples: int = 1_000_000
-    chunk: int = 131_072
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("need at least one sample")
-        if self.chunk < 1:
-            raise ValueError("chunk size must be positive")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
+
+
+def _success_probability(lam1, t):
+    return lam1 * t + (1.0 - lam1) * (1.0 - t)
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ class StateSample:
 
     @property
     def success_probability(self) -> float:
-        return self.lambda1 * self.t + (1.0 - self.lambda1) * (1.0 - self.t)
+        return _success_probability(self.lambda1, self.t)
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,7 @@ class SampleBatch:
 
     @property
     def success_probability(self) -> np.ndarray:
-        return self.lambda1 * self.t + (1.0 - self.lambda1) * (1.0 - self.t)
+        return _success_probability(self.lambda1, self.t)
 
     @property
     def acceptance_rate(self) -> float:
@@ -133,42 +134,11 @@ def sample_state(config: SampleConfig, rng: np.random.Generator) -> StateSample:
     return StateSample(float(lam1[0]), float(t[0]))
 
 
-def _chunk_jobs(config: SampleConfig) -> list[tuple[int, int]]:
-    jobs = []
-    start = 0
-    index = 0
-    while start < config.samples:
-        count = min(config.chunk, config.samples - start)
-        jobs.append((index, count))
-        start += count
-        index += 1
-    return jobs
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("QDUTCH_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _iter_chunks(config: SampleConfig) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
-    """Yield per-chunk sample arrays in chunk order (possibly computed in parallel)."""
-    jobs = _chunk_jobs(config)
-
-    def compute(job):
-        index, count = job
+    """Yield per-chunk sample arrays in chunk order."""
+    for index, start in enumerate(range(0, config.samples, CHUNK)):
         rng = np.random.default_rng([config.seed, index])
-        return _sample_arrays(config.measure, rng, count)
-
-    workers = _worker_count()
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(compute, jobs)
-    else:
-        for job in jobs:
-            yield compute(job)
+        yield _sample_arrays(config.measure, rng, min(CHUNK, config.samples - start))
 
 
 def draw_samples(config: SampleConfig) -> SampleBatch:
@@ -194,7 +164,7 @@ def estimate_run_probability(
     sum_x = 0.0
     sum_xx = 0.0
     for lam1, t, _ in _iter_chunks(config):
-        q = lam1 * t + (1.0 - lam1) * (1.0 - t)
+        q = _success_probability(lam1, t)
         x = q**spec.k * (1.0 - q) ** (spec.n - spec.k)
         sum_x += float(x.sum())
         sum_xx += float((x * x).sum())
@@ -216,7 +186,7 @@ def estimate_succession(config: SampleConfig, spec: RunSpec) -> tuple[float, flo
     n = config.samples
     sums = np.zeros(5)  # x, y, xx, yy, xy
     for lam1, t, _ in _iter_chunks(config):
-        q = lam1 * t + (1.0 - lam1) * (1.0 - t)
+        q = _success_probability(lam1, t)
         x = q**spec.k * (1.0 - q) ** (spec.n - spec.k)
         y = x * q
         sums += [x.sum(), y.sum(), (x * x).sum(), (y * y).sum(), (x * y).sum()]

@@ -272,7 +272,7 @@ def quantum_average_payoff(book: Sequence[QuantumBet], rho: DensityOperator) -> 
     whatever the joint over bets; no outcome combination is enumerated.  A
     quotient left as None is derived from the state as tr(Q rho Q P)/tr(rho Q);
     with quotients given by the state the average is zero up to rounding,
-    whatever the stakes.
+    whatever the stakes.  Raises ValueError when the sum overflows a float.
     """
     if not book:
         return 0.0
@@ -290,6 +290,8 @@ def quantum_average_payoff(book: Sequence[QuantumBet], rho: DensityOperator) -> 
                 )
             quotient = p_win / p_on
         total += bet.stake * (p_win - quotient * p_on)
+    if not math.isfinite(total):
+        raise ValueError("average payoff overflows a float")
     return total
 
 

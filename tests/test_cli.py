@@ -270,6 +270,22 @@ class TestMalformedInputs:
         assert captured.out == ""
         assert "total |stake|" in captured.err
 
+    def test_overflowing_average_payoff(self, tmp_path, capsys):
+        # the total |stake| is finite; only the payoff sum overflows
+        state = write_json(tmp_path / "up_state.json", {"dim": 2, "entries": UP})
+        bet = {"target": UP, "condition": None, "quotient": 1e300, "stake": 1e10}
+        book = write_json(tmp_path / "huge.json", {"dim": 2, "bets": [bet]})
+        captured = self._run(["quantum-book", "--state", state, "--book", book], capsys)
+        assert captured.out == ""
+        assert "average payoff" in captured.err
+
+    @pytest.mark.parametrize("nmax", ["-1", "2001"])
+    def test_nmax_out_of_range(self, nmax, capsys):
+        # rejected before any sampling, so the cap case returns at once
+        captured = self._run(["definetti-verify", "--nmax", nmax], capsys)
+        assert captured.out == ""
+        assert "--nmax" in captured.err
+
     def test_deep_nesting(self, tmp_path, mixed_state, capsys):
         deep_json = tmp_path / "deep.json"
         deep_json.write_text("[" * 100_000 + "]" * 100_000)

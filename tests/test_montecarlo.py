@@ -15,6 +15,7 @@ from qdutch import (
     run_probability,
     sample_state,
 )
+from qdutch.montecarlo import CHUNK, _sample_arrays
 
 N_BIG = 400_000
 
@@ -77,16 +78,17 @@ class TestDeterminism:
         assert np.array_equal(a.lambda1, b.lambda1)
         assert np.array_equal(a.t, b.t)
 
-    def test_worker_count_does_not_change_results(self, monkeypatch):
-        cfg = config(Measure.BURES, samples=50_000, chunk=8_192)
-        serial = draw_samples(cfg)
-        monkeypatch.setenv("QDUTCH_THREADS", "4")
-        threaded = draw_samples(cfg)
-        assert np.array_equal(serial.lambda1, threaded.lambda1)
-        assert np.array_equal(serial.t, threaded.t)
-        est_serial = estimate_run_probability(cfg, RunSpec(3, 2))
-        monkeypatch.setenv("QDUTCH_THREADS", "1")
-        assert estimate_run_probability(cfg, RunSpec(3, 2)) == est_serial
+    def test_chunks_are_seeded_substreams_in_order(self):
+        cfg = config(Measure.BURES, samples=2 * CHUNK + 5)
+        sizes = (CHUNK, CHUNK, 5)
+        chunks = [
+            _sample_arrays(cfg.measure, np.random.default_rng([cfg.seed, c]), size)
+            for c, size in enumerate(sizes)
+        ]
+        batch = draw_samples(cfg)
+        assert np.array_equal(batch.lambda1, np.concatenate([lam1 for lam1, _, _ in chunks]))
+        assert np.array_equal(batch.t, np.concatenate([t for _, t, _ in chunks]))
+        assert batch.proposals == sum(proposals for _, _, proposals in chunks)
 
     def test_different_seeds_differ(self):
         a = draw_samples(config(Measure.FLAT, samples=1_000, seed=1))
@@ -171,8 +173,6 @@ class TestConfigValidation:
     def test_rejects_bad_fields(self):
         with pytest.raises(ValueError):
             SampleConfig(Measure.FLAT, samples=0)
-        with pytest.raises(ValueError):
-            SampleConfig(Measure.FLAT, chunk=0)
         with pytest.raises(ValueError):
             SampleConfig(Measure.FLAT, seed=-1)
         with pytest.raises(ValueError):

@@ -357,6 +357,12 @@ class TestQuantumAveragePayoff:
     def test_empty_book_is_zero(self):
         assert quantum_average_payoff([], DensityOperator.maximally_mixed(2)) == 0.0
 
+    def test_overflowing_average_is_an_error(self):
+        # each stake is finite, but four of them overflow the sum
+        book = [QuantumBet.outright(UP, 0.0, 1e308)] * 4
+        with pytest.raises(ValueError, match="overflows"):
+            quantum_average_payoff(book, DensityOperator.pure([1, 0]))
+
     def test_matches_the_outcome_enumeration(self):
         # the per-bet sum against the literal 4**bets enumeration
         rng = np.random.default_rng(44)
