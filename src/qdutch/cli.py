@@ -35,6 +35,11 @@ from .exchangeable import (
 )
 from .rationals import format_decimal, format_rational, parse_rational
 
+# Most Monte Carlo draws one definetti-verify may ask for: (n, k) pairs x
+# samples x measures.  The default (--nmax 8, 10^6 samples, three measures)
+# is 1.35e8 draws, about 11 s of sampling; the bound is about 7 times that.
+_MAX_VERIFY_DRAWS = 10**9
+
 
 def _parse_int_list(text: str) -> list[int]:
     try:
@@ -231,6 +236,9 @@ def _cmd_definetti_verify(args) -> int:
         measures = [_measure(args.measure)]
     if not 0 <= args.nmax <= DEFAULT_N_CAP:
         raise ValueError(f"--nmax must lie in [0, {DEFAULT_N_CAP}], got {args.nmax}")
+    draws = (args.nmax + 1) * (args.nmax + 2) // 2 * args.samples * len(measures)
+    if draws > _MAX_VERIFY_DRAWS:
+        raise CapacityError(f"{draws} Monte Carlo draws requested; cap is {_MAX_VERIFY_DRAWS}")
     reports = []
     for measure in measures:
         config = montecarlo.SampleConfig(

@@ -5,18 +5,21 @@ decide whether some stake vector S makes every outcome's payoff at most -1,
 and produce such an S when it exists.  Stakes scale freely, so "<= -1
 everywhere" is the normalized form of "strictly negative everywhere".
 
-The decision is exact: a phase-1 simplex over `fractions.Fraction` with
-Bland's pivoting rule, which cannot cycle.  Problem sizes here are tiny
-(tens of rows/columns), so clarity beats sparsity tricks.
+The decision is exact: a phase-1 simplex with Bland's pivoting rule, which
+cannot cycle, run on Python ints.  Each bet column is scaled by the lcm of
+its denominators, which keeps every reduced-cost sign and every ratio-test
+order, so Bland's rule takes the pivots it would take over fractions.
+Pivots are fraction-free (Bareiss, Math. Comp. 1968; Edmonds): the tableau
+is the current basis determinant times the rational one, and each update
+divides exactly by the previous pivot.  Problem sizes here are tiny (tens
+of rows/columns), so clarity beats sparsity tricks.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def stakes_forcing_sure_loss(
@@ -38,80 +41,70 @@ def stakes_forcing_sure_loss(
     #   G(u - v) + w = -1  <=>  (-G)u + G v - w = 1,
     # then one artificial variable per row gives a unit starting basis.
     # Columns: u (n_bets) | v (n_bets) | w (n_rows) | artificials (n_rows).
+    # Bet j's u and v columns are scaled by scale[j], so S_j is
+    # scale[j] * (x_u - x_v) in the scaled variables.
+    grid = [[Fraction(g) for g in row] for row in rows]
+    scale = [math.lcm(*(row[j].denominator for row in grid)) for j in range(n_bets)]
     n_real = 2 * n_bets + n_rows
     n_cols = n_real + n_rows
-    tableau: list[list[Fraction]] = []
-    for i, row in enumerate(rows):
-        line = [_ZERO] * (n_cols + 1)
-        for j, g in enumerate(row):
-            line[j] = -Fraction(g)
-            line[n_bets + j] = Fraction(g)
-        line[2 * n_bets + i] = -_ONE          # slack
-        line[n_real + i] = _ONE               # artificial
-        line[n_cols] = _ONE                   # rhs
+    tableau: list[list[int]] = []
+    for i, row in enumerate(grid):
+        bets = [g.numerator * (k // g.denominator) for g, k in zip(row, scale)]
+        line = [-b for b in bets] + bets + [0] * (2 * n_rows) + [1]
+        line[2 * n_bets + i] = -1             # slack
+        line[n_real + i] = 1                  # artificial; rhs is the last 1
         tableau.append(line)
     basis = [n_real + i for i in range(n_rows)]
 
     # Phase-1 objective: minimize the artificial sum.  With the artificial
     # basis, the reduced-cost row for real columns is the column sum.
-    obj = [_ZERO] * (n_cols + 1)
-    for line in tableau:
-        for j in range(n_real):
-            obj[j] += line[j]
-        obj[n_cols] += line[n_cols]
+    obj = [sum(column) for column in zip(*tableau)]
+    obj[n_real:n_cols] = [0] * n_rows
 
+    # Every row, obj included, holds det * (rational row), det = the last
+    # pivot (1 for the unit start); every pivot is positive.
+    det = 1
     while True:
-        pivot_col = -1
-        for j in range(n_cols):
-            if obj[j] > 0:                    # Bland: first improving column
-                pivot_col = j
-                break
+        # Bland: the first improving column, then the least rhs/coef
+        # (cross-multiplied), ties going to the lower basis index.
+        pivot_col = next((j for j in range(n_cols) if obj[j] > 0), -1)
         if pivot_col < 0:
             break
         pivot_row = -1
-        best = None
         for i, line in enumerate(tableau):
             coef = line[pivot_col]
-            if coef > 0:
-                ratio = line[n_cols] / coef
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[pivot_row])
-                ):
-                    best = ratio
-                    pivot_row = i
+            if coef <= 0:
+                continue
+            if pivot_row >= 0:
+                lhs = line[n_cols] * best[pivot_col]
+                rhs = best[n_cols] * coef
+                if lhs > rhs or (lhs == rhs and basis[i] > basis[pivot_row]):
+                    continue
+            best, pivot_row = line, i
         if pivot_row < 0:
             # Unbounded increase of a phase-1 column cannot happen with the
             # artificial sum bounded below by zero.
             raise RuntimeError("phase-1 simplex lost boundedness")
-        _pivot(tableau, obj, basis, pivot_row, pivot_col, n_cols)
+        pivot = best[pivot_col]
+        for i, line in enumerate(tableau):
+            if i != pivot_row:
+                tableau[i] = _eliminate(line, best, pivot, pivot_col, det)
+        obj = _eliminate(obj, best, pivot, pivot_col, det)
+        basis[pivot_row] = pivot_col
+        det = pivot
 
     if obj[n_cols] != 0:
         return None                           # artificial residue: infeasible
 
-    values = [_ZERO] * n_cols
+    values = [0] * n_cols
     for i, var in enumerate(basis):
         values[var] = tableau[i][n_cols]
-    return [values[j] - values[n_bets + j] for j in range(n_bets)]
+    return [Fraction(k * (values[j] - values[n_bets + j]), det) for j, k in enumerate(scale)]
 
 
-def _pivot(tableau, obj, basis, pivot_row, pivot_col, rhs_col) -> None:
-    pivot_line = tableau[pivot_row]
-    inv = _ONE / pivot_line[pivot_col]
-    for j in range(rhs_col + 1):
-        pivot_line[j] *= inv
-    for line in tableau:
-        if line is pivot_line:
-            continue
-        factor = line[pivot_col]
-        if factor != 0:
-            for j in range(rhs_col + 1):
-                if pivot_line[j] != 0:
-                    line[j] -= factor * pivot_line[j]
-    factor = obj[pivot_col]
-    if factor != 0:
-        for j in range(rhs_col + 1):
-            if pivot_line[j] != 0:
-                obj[j] -= factor * pivot_line[j]
-    basis[pivot_row] = pivot_col
+def _eliminate(line: list[int], pivot_line: list[int], pivot: int, col: int, det: int) -> list[int]:
+    """One Bareiss step: (pivot * line - line[col] * pivot_line) / det, exactly."""
+    factor = line[col]
+    if factor == 0:
+        return line if pivot == det else [pivot * x // det for x in line]
+    return [(pivot * x - factor * y) // det for x, y in zip(line, pivot_line)]

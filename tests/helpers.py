@@ -10,6 +10,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -274,3 +275,111 @@ def convolution_sigmas(measure: Measure, j_max: int) -> list[Fraction]:
         )
         for j in range(j_max + 1)
     ]
+
+
+# --- Fraction simplex oracle --------------------------------------------------
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def fraction_simplex_stakes(
+    rows: Sequence[Sequence[Fraction]],
+) -> Optional[list[Fraction]]:
+    """Return S with row . S <= -1 for every row, or None if none exists.
+
+    The reference route for `qdutch.feasibility.stakes_forcing_sure_loss`:
+    the same phase-1 simplex and Bland's rule, with every step done in
+    `fractions.Fraction`.
+
+    `rows` must be rectangular; an empty column set (no bets) is only
+    feasible if there are no rows at all.
+    """
+    n_rows = len(rows)
+    if n_rows == 0:
+        return []
+    n_bets = len(rows[0])
+    if any(len(r) != n_bets for r in rows):
+        raise ValueError("payoff rows must have equal length")
+
+    # Standard form: with S = u - v (u, v >= 0) and slack w >= 0,
+    #   G(u - v) + w = -1  <=>  (-G)u + G v - w = 1,
+    # then one artificial variable per row gives a unit starting basis.
+    # Columns: u (n_bets) | v (n_bets) | w (n_rows) | artificials (n_rows).
+    n_real = 2 * n_bets + n_rows
+    n_cols = n_real + n_rows
+    tableau: list[list[Fraction]] = []
+    for i, row in enumerate(rows):
+        line = [_ZERO] * (n_cols + 1)
+        for j, g in enumerate(row):
+            line[j] = -Fraction(g)
+            line[n_bets + j] = Fraction(g)
+        line[2 * n_bets + i] = -_ONE          # slack
+        line[n_real + i] = _ONE               # artificial
+        line[n_cols] = _ONE                   # rhs
+        tableau.append(line)
+    basis = [n_real + i for i in range(n_rows)]
+
+    # Phase-1 objective: minimize the artificial sum.  With the artificial
+    # basis, the reduced-cost row for real columns is the column sum.
+    obj = [_ZERO] * (n_cols + 1)
+    for line in tableau:
+        for j in range(n_real):
+            obj[j] += line[j]
+        obj[n_cols] += line[n_cols]
+
+    while True:
+        pivot_col = -1
+        for j in range(n_cols):
+            if obj[j] > 0:                    # Bland: first improving column
+                pivot_col = j
+                break
+        if pivot_col < 0:
+            break
+        pivot_row = -1
+        best = None
+        for i, line in enumerate(tableau):
+            coef = line[pivot_col]
+            if coef > 0:
+                ratio = line[n_cols] / coef
+                if (
+                    best is None
+                    or ratio < best
+                    or (ratio == best and basis[i] < basis[pivot_row])
+                ):
+                    best = ratio
+                    pivot_row = i
+        if pivot_row < 0:
+            # Unbounded increase of a phase-1 column cannot happen with the
+            # artificial sum bounded below by zero.
+            raise RuntimeError("phase-1 simplex lost boundedness")
+        _pivot(tableau, obj, basis, pivot_row, pivot_col, n_cols)
+
+    if obj[n_cols] != 0:
+        return None                           # artificial residue: infeasible
+
+    values = [_ZERO] * n_cols
+    for i, var in enumerate(basis):
+        values[var] = tableau[i][n_cols]
+    return [values[j] - values[n_bets + j] for j in range(n_bets)]
+
+
+def _pivot(tableau, obj, basis, pivot_row, pivot_col, rhs_col) -> None:
+    pivot_line = tableau[pivot_row]
+    inv = _ONE / pivot_line[pivot_col]
+    for j in range(rhs_col + 1):
+        pivot_line[j] *= inv
+    for line in tableau:
+        if line is pivot_line:
+            continue
+        factor = line[pivot_col]
+        if factor != 0:
+            for j in range(rhs_col + 1):
+                if pivot_line[j] != 0:
+                    line[j] -= factor * pivot_line[j]
+    factor = obj[pivot_col]
+    if factor != 0:
+        for j in range(rhs_col + 1):
+            if pivot_line[j] != 0:
+                obj[j] -= factor * pivot_line[j]
+    basis[pivot_row] = pivot_col

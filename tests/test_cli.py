@@ -286,6 +286,19 @@ class TestMalformedInputs:
         assert captured.out == ""
         assert "--nmax" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--nmax", "1", "--samples", "99999999999999999999"],
+            ["--measure", "flat", "--nmax", "2000", "--samples", "1000"],
+        ],
+    )
+    def test_too_many_draws(self, argv, capsys):
+        # rejected before any sampling, so an enormous request returns at once
+        captured = self._run(["definetti-verify", *argv], capsys)
+        assert captured.out == ""
+        assert "draws requested" in captured.err
+
     def test_deep_nesting(self, tmp_path, mixed_state, capsys):
         deep_json = tmp_path / "deep.json"
         deep_json.write_text("[" * 100_000 + "]" * 100_000)
