@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -43,9 +44,12 @@ _MAX_VERIFY_DRAWS = 10**9
 
 def _parse_int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        values = [int(part) for part in text.split(",") if part != ""]
     except ValueError as exc:
         raise ValueError(f"--n expects an integer or comma list, got {text!r}") from exc
+    if not values:
+        raise ValueError(f"--n expects at least one integer, got {text!r}")
+    return values
 
 
 def _measure(text: str) -> Measure:
@@ -77,7 +81,9 @@ def _output(path: Optional[str]):
             yield fh
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qdutch",
         description="coherence checks, quantum state updates and succession laws",

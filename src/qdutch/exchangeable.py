@@ -237,7 +237,11 @@ def succession(measure: Measure, spec: RunSpec) -> Fraction:
     """Predictive probability of success number k+1 after k successes in n
     trials: the Laplace rule times the measure's correction ratio.
     """
-    _check_cap(spec.n + 1)
+    if spec.n + 1 > DEFAULT_N_CAP:
+        raise CapacityError(
+            f"succession at n={spec.n} needs trial count {spec.n + 1}, "
+            f"which exceeds the cap {DEFAULT_N_CAP}"
+        )
     denom = run_probability(measure, spec)
     numer = run_probability(measure, RunSpec(spec.n + 1, spec.k + 1))
     return numer / denom

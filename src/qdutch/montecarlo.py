@@ -20,9 +20,12 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-import numpy as np
+# numpy is imported inside each function that uses it, so that `import qdutch`
+# and the exact-engine commands never load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 from .exchangeable import Measure, RunSpec, run_probability
 from .rationals import format_rational
@@ -94,6 +97,7 @@ def _bures_eigenvalues(rng: np.random.Generator, count: int) -> tuple[np.ndarray
     2*(2*lam-1)**2 <= 2, so with bound M=2 the acceptance test is a uniform
     draw against (2*lam-1)**2 and the expected acceptance rate is 1/2.
     """
+    import numpy as np
     out = np.empty(count)
     filled = 0
     proposals = 0
@@ -113,6 +117,7 @@ def _bures_eigenvalues(rng: np.random.Generator, count: int) -> tuple[np.ndarray
 def _sample_arrays(
     measure: Measure, rng: np.random.Generator, count: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
+    import numpy as np
     # Draw order (eigenvalues first, then t) is part of the determinism contract.
     if measure is Measure.PURE_UNIFORM:
         lam1 = np.ones(count)
@@ -136,6 +141,7 @@ def sample_state(config: SampleConfig, rng: np.random.Generator) -> StateSample:
 
 def _iter_chunks(config: SampleConfig) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
     """Yield per-chunk sample arrays in chunk order."""
+    import numpy as np
     for index, start in enumerate(range(0, config.samples, CHUNK)):
         rng = np.random.default_rng([config.seed, index])
         yield _sample_arrays(config.measure, rng, min(CHUNK, config.samples - start))
@@ -143,6 +149,7 @@ def _iter_chunks(config: SampleConfig) -> Iterator[tuple[np.ndarray, np.ndarray,
 
 def draw_samples(config: SampleConfig) -> SampleBatch:
     """Materialize the full deterministic sample set for the configuration."""
+    import numpy as np
     lams, ts, proposals = [], [], 0
     for lam1, t, prop in _iter_chunks(config):
         lams.append(lam1)
@@ -181,6 +188,7 @@ def estimate_succession(config: SampleConfig, spec: RunSpec) -> tuple[float, flo
     comes from the delta method.  Emits :class:`UnstableRatioWarning` when
     the denominator mean is within 5 standard errors of zero.
     """
+    import numpy as np
     if config.samples < 1000:
         raise ValueError("need at least 1000 samples for a succession estimate")
     n = config.samples

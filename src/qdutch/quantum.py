@@ -19,9 +19,12 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
-import numpy as np
+# numpy is imported inside each function that uses it, so that `import qdutch`
+# and the exact-engine commands never load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 from .errors import CapacityError, NullConditionError
 
@@ -33,6 +36,7 @@ MAX_DIM = 16
 
 
 def _validated_square(matrix, tol: float) -> np.ndarray:
+    import numpy as np
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"operator must be square, got shape {m.shape}")
@@ -56,6 +60,7 @@ class Projector:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix, *, tol: float = OPERATOR_TOL):
+        import numpy as np
         m = _validated_square(matrix, tol)
         if np.max(np.abs(m @ m - m)) > tol:
             raise ValueError("operator is not idempotent within tolerance")
@@ -67,19 +72,23 @@ class Projector:
 
     @property
     def rank(self) -> int:
+        import numpy as np
         return int(round(np.real(np.trace(self.matrix))))
 
     @classmethod
     def identity(cls, dim: int) -> "Projector":
+        import numpy as np
         return cls(np.eye(dim))
 
     @classmethod
     def zero(cls, dim: int) -> "Projector":
+        import numpy as np
         return cls(np.zeros((dim, dim)))
 
     @classmethod
     def from_ket(cls, ket) -> "Projector":
         """Rank-1 projector onto a (not necessarily normalized) state vector."""
+        import numpy as np
         v = np.asarray(ket, dtype=complex).reshape(-1)
         norm = np.linalg.norm(v)
         if norm == 0:
@@ -90,6 +99,7 @@ class Projector:
     @classmethod
     def onto(cls, vectors) -> "Projector":
         """Projector onto the span of the given column vectors."""
+        import numpy as np
         cols = np.asarray(vectors, dtype=complex)
         if cols.ndim == 1:
             cols = cols[:, None]
@@ -108,6 +118,7 @@ class DensityOperator:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix, *, tol: float = OPERATOR_TOL):
+        import numpy as np
         m = _validated_square(matrix, tol)
         if np.min(np.linalg.eigvalsh(m)) < -tol:
             raise ValueError("density operator has a negative eigenvalue")
@@ -121,6 +132,7 @@ class DensityOperator:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityOperator":
+        import numpy as np
         return cls(np.eye(dim) / dim)
 
     @classmethod
@@ -129,6 +141,7 @@ class DensityOperator:
 
     @classmethod
     def diagonal(cls, weights) -> "DensityOperator":
+        import numpy as np
         w = np.asarray(weights, dtype=float)
         return cls(np.diag(w / w.sum()))
 
@@ -145,10 +158,12 @@ def _check_dims(*ops) -> int:
 
 def negate(p: Projector) -> Projector:
     """Projector onto the orthogonal complement of the range."""
+    import numpy as np
     return Projector(np.eye(p.dim) - p.matrix)
 
 
 def _range_basis(p: Projector) -> np.ndarray:
+    import numpy as np
     vals, vecs = np.linalg.eigh(p.matrix)
     return vecs[:, vals > 0.5]
 
@@ -161,6 +176,7 @@ def meet(p: Projector, q: Projector) -> Projector:
     within ``RANGE_CUT`` of 1 span the intersection.  For commuting inputs
     this agrees with the product p q.
     """
+    import numpy as np
     _check_dims(p, q)
     bp = _range_basis(p)
     bq = _range_basis(q)
@@ -179,12 +195,14 @@ def join(p: Projector, q: Projector) -> Projector:
 
 
 def commutes(p: Projector, q: Projector) -> bool:
+    import numpy as np
     _check_dims(p, q)
     return bool(np.max(np.abs(p.matrix @ q.matrix - q.matrix @ p.matrix)) <= OPERATOR_TOL)
 
 
 def born(rho: DensityOperator, p: Projector) -> float:
     """Betting quotient of a projector under a state: tr(rho P) in [0, 1]."""
+    import numpy as np
     _check_dims(rho, p)
     value = float(np.real(np.trace(rho.matrix @ p.matrix)))
     return min(1.0, max(0.0, value))
@@ -192,6 +210,7 @@ def born(rho: DensityOperator, p: Projector) -> float:
 
 def _condition_weight(rho: DensityOperator, q: Projector) -> float:
     """tr(rho Q), refusing a null conditioning event."""
+    import numpy as np
     weight = float(np.real(np.trace(rho.matrix @ q.matrix)))
     if weight <= NULL_CONDITION_EPS:
         raise NullConditionError(
@@ -202,6 +221,7 @@ def _condition_weight(rho: DensityOperator, q: Projector) -> float:
 
 def conditional(rho: DensityOperator, p: Projector, q: Projector) -> float:
     """Quotient of p given that q was observed true: tr(QrQ P)/tr(rQ)."""
+    import numpy as np
     _check_dims(rho, p, q)
     weight = _condition_weight(rho, q)
     qrq = q.matrix @ rho.matrix @ q.matrix
@@ -222,6 +242,7 @@ def aggregated_update(rho: DensityOperator, qs: Sequence[Projector]) -> DensityO
     Equals the quotient-weighted mixture of the individual updated states:
     sum_i Q_i rho Q_i / sum_i tr(rho Q_i).
     """
+    import numpy as np
     if not qs:
         raise ValueError("need at least one conditioning projector")
     _check_dims(rho, *qs)
@@ -274,6 +295,7 @@ def quantum_average_payoff(book: Sequence[QuantumBet], rho: DensityOperator) -> 
     with quotients given by the state the average is zero up to rounding,
     whatever the stakes.  Raises ValueError when the sum overflows a float.
     """
+    import numpy as np
     if not book:
         return 0.0
     _check_dims(rho, *(b.target for b in book), *(b.condition for b in book))
@@ -301,6 +323,7 @@ def quantum_average_payoff(book: Sequence[QuantumBet], rho: DensityOperator) -> 
 # entries as decimal doubles.
 
 def operator_to_json(matrix: np.ndarray) -> dict:
+    import numpy as np
     m = np.asarray(matrix, dtype=complex)
     return {
         "dim": int(m.shape[0]),
@@ -309,6 +332,7 @@ def operator_to_json(matrix: np.ndarray) -> dict:
 
 
 def operator_from_json(doc: dict) -> np.ndarray:
+    import numpy as np
     try:
         dim = int(doc["dim"])
         entries = doc["entries"]

@@ -69,6 +69,16 @@ class TestSuccessionCommand:
 
     def test_cap_violation_is_an_input_error(self, capsys):
         assert cli.main(["succession", "--measure", "flat", "--n", "5000", "--k", "1"]) == 2
+        capsys.readouterr()
+        # n = 2000 is within the cap, but its succession needs n + 1 trials:
+        # the message names the n the user gave as well as the n + 1.
+        for command in ("succession", "figure1"):
+            assert cli.main([command, "--measure", "flat", "--n", "2000", "--k", "0"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "error: succession at n=2000 needs trial count 2001, which exceeds the cap 2000\n"
+            )
 
 
 class TestFigure1Command:
@@ -95,7 +105,15 @@ class TestFigure1Command:
         assert "15/16" in out
 
     def test_bad_n_list(self, capsys):
-        assert cli.main(["figure1", "--measure", "flat", "--n", "10,x", "--kfrac", "1/2"]) == 2
+        for argv in (
+            ["figure1", "--measure", "flat", "--n", "10,x", "--kfrac", "1/2"],
+            ["figure1", "--measure", "flat", "--n", ",", "--kfrac", "1/2"],
+            ["succession", "--measure", "flat", "--n", ",", "--k", "0"],
+        ):
+            assert cli.main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: --n expects") and captured.err.count("\n") == 1
 
 
 class TestCoherenceCheckCommand:
@@ -230,6 +248,16 @@ class TestArgumentHandling:
     def test_unknown_command_exits_two(self, capsys):
         assert cli.main(["frobnicate"]) == 2
 
+    def test_failed_parse_leaves_the_cached_parser_intact(self, capsys):
+        argv = ["succession", "--measure", "bures", "--n", "1,3", "--k", "1"]
+        cli._build_parser.cache_clear()
+        fresh = cli.main(argv), capsys.readouterr().out
+        cli._build_parser.cache_clear()
+        assert cli.main(["succession"]) == 2
+        capsys.readouterr()
+        assert (cli.main(argv), capsys.readouterr().out) == fresh
+        assert cli._build_parser.cache_info().misses == 1
+
 
 class TestMalformedInputs:
     """Each malformed input exits 2 with one line on stderr and no traceback."""
@@ -319,16 +347,78 @@ class TestMalformedInputs:
         assert "--tol" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("module", ["qdutch", "qdutch.cli"])
-def test_runs_as_a_module(module):
+def _fresh_python(*args: str) -> str:
+    """Run a fresh interpreter on this checkout's sources; return its stdout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run(
-        [sys.executable, "-m", module, "succession", "--measure", "flat", "--n", "10", "--k", "3"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    result = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "2759/6792 0.406213191991\n"
+    return result.stdout
+
+
+@pytest.mark.parametrize("module", ["qdutch", "qdutch.cli"])
+def test_runs_as_a_module(module):
+    out = _fresh_python("-m", module, "succession", "--measure", "flat", "--n", "10", "--k", "3")
+    assert out == "2759/6792 0.406213191991\n"
+
+
+# --- numpy stays out of the exact layers ------------------------------------
+
+def test_import_loads_every_submodule_but_no_numpy():
+    out = _fresh_python(
+        "-c",
+        "import sys, qdutch\n"
+        "print('numpy' in sys.modules)\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('qdutch'))))\n"
+    )
+    numpy_loaded, modules = out.splitlines()
+    assert numpy_loaded == "False"
+    # The bench's cache reset and tracer find these in sys.modules after the import.
+    assert modules.split() == [
+        "qdutch", "qdutch.books", "qdutch.coherence", "qdutch.errors", "qdutch.exchangeable",
+        "qdutch.feasibility", "qdutch.montecarlo", "qdutch.quantum", "qdutch.rationals",
+    ]
+
+
+def test_exact_commands_run_without_numpy(overround_book):
+    script = (
+        "import contextlib, io, sys\n"
+        "from qdutch import cli\n"
+        "book = sys.argv[1]\n"
+        "for argv in (['succession', '--measure', 'bures', '--n', '10', '--k', '3'],\n"
+        "             ['figure1', '--measure', 'flat', '--n', '10,20', '--kfrac', '1/2'],\n"
+        "             ['coherence-check', book], ['axioms-check', book]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert _fresh_python("-c", script, overround_book) == "False\n"
+
+
+def test_first_numpy_use_from_threads_at_once():
+    """numpy is first imported by whichever thread gets there first; the others
+    must wait for the whole module, not see it half initialized."""
+    script = (
+        "import sys, threading\n"
+        "from qdutch import Measure, SampleConfig, montecarlo, quantum\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "barrier = threading.Barrier(4)\n"
+        "errors = []\n"
+        "def touch(i):\n"
+        "    barrier.wait()\n"
+        "    try:\n"
+        "        quantum.DensityOperator.maximally_mixed(2)\n"
+        "        montecarlo.draw_samples(SampleConfig(Measure.BURES, seed=i, samples=10))\n"
+        "    except Exception as exc:\n"
+        "        errors.append(repr(exc))\n"
+        "threads = [threading.Thread(target=touch, args=(i,)) for i in range(4)]\n"
+        "for t in threads:\n"
+        "    t.start()\n"
+        "for t in threads:\n"
+        "    t.join(timeout=60)\n"
+        "print(sum(t.is_alive() for t in threads), errors)\n"
+    )
+    assert _fresh_python("-c", script) == "0 []\n"
 
 
 # --- fuzzing the file loaders through main() -------------------------------
