@@ -20,7 +20,7 @@ import re
 from pathlib import Path
 from typing import Iterable, Union
 
-from .coherence import Book, ConditionalBet, OutcomeSpace, Proposition
+from .coherence import Book, ConditionalBet, OutcomeSpace, Proposition, format_proposition
 from .rationals import format_rational, parse_rational
 
 _TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_]\w*)|([&|!()]))")
@@ -98,14 +98,6 @@ def parse_expression(space: OutcomeSpace, text: str) -> Proposition:
     if pos != len(tokens):
         raise ValueError(f"malformed expression {text!r}: trailing tokens")
     return node
-
-
-def format_proposition(prop: Proposition) -> str:
-    if prop.is_omega():
-        return "TRUE"
-    if prop.is_empty():
-        return "FALSE"
-    return " | ".join(prop.atom_names())
 
 
 _NON_ATOM_TOKENS = frozenset({"TRUE", "FALSE", "&", "|", "!", "(", ")"})

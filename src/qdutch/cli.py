@@ -152,10 +152,12 @@ def _pick_k(n: int, k: Optional[int], kfrac: Optional[str]) -> int:
 
 def _cmd_succession(args) -> int:
     measure = _measure(args.measure)
+    values = [
+        succession(measure, RunSpec(n, _pick_k(n, args.k, args.kfrac)))
+        for n in _parse_int_list(args.n)
+    ]
     with _output(args.out) as fh:
-        for n in _parse_int_list(args.n):
-            k = _pick_k(n, args.k, args.kfrac)
-            value = succession(measure, RunSpec(n, k))
+        for value in values:
             fh.write(f"{format_rational(value)} {format_decimal(value)}\n")
     return 0
 

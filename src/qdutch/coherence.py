@@ -120,6 +120,15 @@ class Proposition:
             raise ValueError("propositions live on different outcome spaces")
 
 
+def format_proposition(prop: Proposition) -> str:
+    """Render a proposition in the book syntax: atoms joined by `` | ``."""
+    if prop.is_omega():
+        return "TRUE"
+    if prop.is_empty():
+        return "FALSE"
+    return " | ".join(prop.atom_names())
+
+
 @dataclass(frozen=True)
 class OutcomeWord:
     """One realized outcome: exactly one atom is true, all others false."""
@@ -243,7 +252,7 @@ def find_dutch_book(book: Book) -> Optional[list[Fraction]]:
 
 @dataclass(frozen=True)
 class AxiomViolation:
-    axiom: str      # positivity | additivity | normalization | multiplication
+    axiom: str      # positivity | bound | additivity | normalization | multiplication
     detail: str
 
     def __str__(self) -> str:
@@ -294,33 +303,27 @@ def assignment_from_book(book: Book) -> QuotientAssignment:
 def check_axioms(assignment: QuotientAssignment) -> list[AxiomViolation]:
     """Report every violated probability axiom visible in the assignment.
 
-    Checks positivity of all quotients, additivity on assigned disjoint
-    pairs whose join is also assigned, normalization on the tautology, and
-    the multiplication law q(a & b) = q(a|b) q(b) wherever all three pieces
-    are assigned.  The tautology's quotient is 1 by the normalization axiom,
-    so it participates in the other checks even when no bet was placed on it
-    explicitly.  An empty list means no violation is detectable.
+    Checks positivity and the bound q <= 1 of all quotients, additivity on
+    assigned disjoint pairs whose join is also assigned, normalization on the
+    tautology, and the multiplication law q(a & b) = q(a given b) q(b)
+    wherever all three pieces are assigned.  The tautology's quotient is 1
+    by the normalization axiom, so it participates in the other checks even
+    when no bet was placed on it explicitly.  An empty list means no
+    violation is detectable.
     """
     violations: list[AxiomViolation] = []
     out = dict(assignment.items())
+    name = format_proposition
 
-    def name(p: Proposition) -> str:
-        if p.is_omega():
-            return "TRUE"
-        if p.is_empty():
-            return "FALSE"
-        return " | ".join(p.atom_names())
-
-    for prop, q in out.items():
+    quotients = [(name(prop), q) for prop, q in out.items()] + [
+        (f"{name(target)} given {name(cond)}", q)
+        for (target, cond), q in assignment.conditional_items()
+    ]
+    for label, q in quotients:
         if q < 0:
-            violations.append(
-                AxiomViolation("positivity", f"q({name(prop)}) = {q} < 0")
-            )
-    for (target, cond), q in assignment.conditional_items():
-        if q < 0:
-            violations.append(
-                AxiomViolation("positivity", f"q({name(target)} | {name(cond)}) = {q} < 0")
-            )
+            violations.append(AxiomViolation("positivity", f"q({label}) = {q} < 0"))
+        if q > 1:
+            violations.append(AxiomViolation("bound", f"q({label}) = {q} > 1"))
 
     omega = assignment.space.omega
     if omega in out and out[omega] != 1:
@@ -339,8 +342,8 @@ def check_axioms(assignment: QuotientAssignment) -> list[AxiomViolation]:
                 violations.append(
                     AxiomViolation(
                         "additivity",
-                        f"q({name(a)} | {name(b)} disjoint): "
-                        f"q(join) = {out[join]} != {out[a]} + {out[b]}",
+                        f"q({name(a)}) + q({name(b)}) = {out[a]} + {out[b]} "
+                        f"!= q({name(join)}) = {out[join]}",
                     )
                 )
 
@@ -363,8 +366,8 @@ def check_axioms(assignment: QuotientAssignment) -> list[AxiomViolation]:
                 violations.append(
                     AxiomViolation(
                         "multiplication",
-                        f"q({name(meet)}) = {out[meet]} != "
-                        f"q({name(target)}|{name(cond)}) * q({name(cond)}) = {q_cond * out[cond]}",
+                        f"q({name(meet)}) = {out[meet]} != q({name(target)} given "
+                        f"{name(cond)}) * q({name(cond)}) = {q_cond * out[cond]}",
                     )
                 )
     return violations

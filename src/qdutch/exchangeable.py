@@ -12,10 +12,12 @@ qubit density operators fixes everything.  Three measures are supported:
 
 For each measure, ``run_probability(measure, RunSpec(n, k))`` is the exact
 rational probability of seeing the projector true on the first k of n
-measurements.  The predictive probability of one more success is the
-Laplace rule (k+1)/(n+2) times a measure-dependent correction ratio; the
-correction term itself is computed by ``correction_term`` as a double
-binomial sum over exact Beta values.
+measurements.  The single-trial success probability q has density Beta(1, 1)
+(pure), ``-ln|1 - 2q|`` (flat) or Beta(3/2, 3/2) (Bures).  The predictive
+probability of one more success is the Laplace rule (k+1)/(n+2) times a
+measure-dependent correction ratio, so Bures gives (2k+3)/(2(n+3)) exactly;
+the correction term itself is computed independently by ``correction_term``
+as a double binomial sum over exact Beta values.
 
 All arithmetic is exact; decimal rendering happens only at the output
 boundary (12 significant digits).
@@ -178,38 +180,40 @@ def correction_term(measure: Measure, spec: RunSpec) -> Fraction:
     return total_pi.over_pi().as_fraction()
 
 
-# --- run probabilities: eigenvalue-moment route ----------------------------
+# --- run probabilities -------------------------------------------------------
 #
 # Under every supported measure the single-trial success probability is
 # q = lam1*t + lam2*(1-t) with t uniform on [0, 1], i.e. q is uniform on
-# [lam2, lam1].  Averaging t exactly turns the run probability into a short
+# [lam2, lam1].  Pure and Bures give q ~ Beta(a, a), a = 1 and 3/2, so a run
+# probability is the closed form (a)_k (a)_{n-k} / (2a)_n in rising
+# factorials.  For the flat measure, averaging t exactly gives a short
 # alternating sum over the symmetrized eigenvalue moments
-#   sigma_j = E[ sum_{a+b=j} lam1**a lam2**b ],
-# cached per measure and built from sigma_0 = 1 by one recurrence each:
-#   flat:  sigma_j = sigma_{j-1}/2 + 1/(j+1);
-#   Bures: sigma_j = sigma_{j-1} * (j+1)(2j+1) / (2j(j+2)).
-# Rows of the success-count distribution start from P(m, m) = sigma_m/(m+1)
-# and fill in by P(m, k) = P(m-1, k) - P(m, k+1): trial m succeeds or fails.
-# Both exactly regroup the double sum in `correction_term`; tests pin the two.
+#   sigma_j = E[ sum_{a+b=j} lam1**a lam2**b ] = sigma_{j-1}/2 + 1/(j+1),
+# cached from sigma_0 = 1.  Rows of the success-count distribution start from
+# P(m, m) and fill in by P(m, k) = P(m-1, k) - P(m, k+1): trial m succeeds or
+# fails.  Both routes exactly regroup the double sum in `correction_term`;
+# tests pin the two.
+
+#: 2a for the measures whose q-density is Beta(a, a).
+_Q_BETA_2A = {Measure.PURE_UNIFORM: 2, Measure.BURES: 3}
 
 _sigma_lock = threading.Lock()
-_sigma_cache: dict[Measure, list[Fraction]] = {Measure.FLAT: [], Measure.BURES: []}
+_sigma_cache: list[Fraction] = [Fraction(1)]  # flat-measure sigma_0, sigma_1, ...
 
 
-def _sigma_upto(measure: Measure, j_max: int) -> list[Fraction]:
-    cache = _sigma_cache[measure]
-    if len(cache) > j_max:
-        return cache
+def _sigma_upto(j_max: int) -> list[Fraction]:
+    if len(_sigma_cache) > j_max:
+        return _sigma_cache
     with _sigma_lock:
-        if not cache:
-            cache.append(Fraction(1))
-        while len(cache) <= j_max:
-            j, prev = len(cache), cache[-1]
-            if measure is Measure.FLAT:
-                cache.append(prev / 2 + Fraction(1, j + 1))
-            else:
-                cache.append(prev * Fraction((j + 1) * (2 * j + 1), 2 * j * (j + 2)))
-    return cache
+        while len(_sigma_cache) <= j_max:
+            j = len(_sigma_cache)
+            _sigma_cache.append(_sigma_cache[-1] / 2 + Fraction(1, j + 1))
+    return _sigma_cache
+
+
+def _half_rising(a2: int, m: int) -> int:
+    """2**m times the rising factorial (a2/2)_m."""
+    return math.prod(range(a2, a2 + 2 * m, 2))
 
 
 def run_probability(measure: Measure, spec: RunSpec) -> Fraction:
@@ -220,10 +224,11 @@ def run_probability(measure: Measure, spec: RunSpec) -> Fraction:
     """
     _check_cap(spec.n)
     n, k = spec.n, spec.k
-    if measure is Measure.PURE_UNIFORM:
-        # Beta(k+1, n-k+1) in closed form.
-        return Fraction(1, (n + 1) * math.comb(n, k))
-    sigmas = _sigma_upto(measure, n)
+    a2 = _Q_BETA_2A.get(measure)
+    if a2 is not None:
+        numer = _half_rising(a2, k) * _half_rising(a2, n - k)
+        return Fraction(numer, 2**n * math.perm(a2 + n - 1, n))  # (2a)_n = perm(2a+n-1, n)
+    sigmas = _sigma_upto(n)
     total = Fraction(0)
     binom = 1
     for s in range(n - k + 1):
@@ -262,9 +267,7 @@ def distribution_over_k(measure: Measure, n: int) -> list[Fraction]:
     if n < 0:
         raise ValueError("counts must be nonnegative")
     _check_cap(n)
-    if measure is Measure.PURE_UNIFORM:
-        return [Fraction(1, n + 1)] * (n + 1)
-    diagonal = [s / (m + 1) for m, s in enumerate(_sigma_upto(measure, n)[: n + 1])]
+    diagonal = [run_probability(measure, RunSpec(m, m)) for m in range(n + 1)]
     denom = math.lcm(*(d.denominator for d in diagonal))
     row = []  # integer numerators over denom, overwritten row by row in place
     for d in diagonal:

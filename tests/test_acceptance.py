@@ -122,7 +122,7 @@ def test_criterion_4_figure_grid_convergence():
     < 0.01 at n=400, except for the flat measure at k/n = 1/5, where the
     bound is the analytic leading term c/n derived below.
 
-    Every cell also checks that the moment route (``succession_table``)
+    Every cell also checks that the ``succession_table`` route
     and the literal double sum (``correction_term(n+1, k+1) /
     correction_term(n, k)``) agree exactly, that the ratio is exactly 1 at
     k/n = 1/2, that the deviation decays like 1/n (dev(400) <= dev(100)/3),

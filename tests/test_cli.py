@@ -80,6 +80,16 @@ class TestSuccessionCommand:
                 "error: succession at n=2000 needs trial count 2001, which exceeds the cap 2000\n"
             )
 
+    def test_cap_violation_leaves_no_partial_output(self, tmp_path, capsys):
+        # every value is computed before the first byte is written
+        argv = ["succession", "--measure", "flat", "--n", "5,5000", "--k", "1"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().out == ""
+        out = tmp_path / "succ.txt"
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
 
 class TestFigure1Command:
     def test_csv_grid(self, tmp_path, capsys):
@@ -149,6 +159,12 @@ class TestAxiomsCheckCommand:
         assert cli.main(["axioms-check", overround_book]) == 0
         out = capsys.readouterr().out
         assert "VIOLATION additivity" in out
+
+    def test_quotient_above_one_is_a_bound_violation(self, tmp_path, capsys):
+        doc = {"atoms": ["a", "b"], "bets": [{"target": "a", "quotient": "3/2"}]}
+        path = write_json(tmp_path / "over.json", doc)
+        assert cli.main(["axioms-check", path]) == 0
+        assert capsys.readouterr().out == "VIOLATION bound: q(a) = 3/2 > 1\n"
 
     def test_clean_book(self, tmp_path, capsys):
         doc = {

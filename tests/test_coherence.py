@@ -268,6 +268,46 @@ class TestCheckAxioms:
         assignment.set_quotient(coin.atom("a"), F(-1, 10))
         assert [v.axiom for v in check_axioms(assignment)] == ["positivity"]
 
+    def test_bound_violation_reported(self, coin):
+        # q <= 1 follows from the axioms; a lone quotient above it is flagged
+        # even when the complement is unassigned
+        a, na = coin.atom("a"), coin.atom("na")
+        assignment = QuotientAssignment(coin)
+        assignment.set_quotient(a, F(3, 2))
+        assert [v.axiom for v in check_axioms(assignment)] == ["bound"]
+        assignment = QuotientAssignment(coin)
+        assignment.set_conditional(a, a | na, F(3, 2))
+        assert [v.axiom for v in check_axioms(assignment)] == ["bound"]
+        assignment.set_conditional(na, a | na, 1)  # q = 1 itself is allowed
+        assert [v.axiom for v in check_axioms(assignment)] == ["bound"]
+
+    def test_messages_render_each_proposition_unambiguously(self):
+        # ' | ' is the disjunction of the book syntax; conditioning reads 'given'
+        space = OutcomeSpace(["a", "b", "c"])
+        a, b, c = (space.atom(x) for x in "abc")
+        assignment = QuotientAssignment(space)
+        assignment.set_conditional(a, a | b, F(-1, 2))
+        assignment.set_conditional(c, a | c, F(3, 2))
+        assert [str(v) for v in check_axioms(assignment)] == [
+            "positivity: q(a given a | b) = -1/2 < 0",
+            "bound: q(c given a | c) = 3/2 > 1",
+        ]
+        assignment = QuotientAssignment(space)
+        assignment.set_quotient(a | b, F(1, 5))
+        assignment.set_quotient(c, F(1, 5))
+        assignment.set_quotient(a | b | c, F(1, 2))
+        assert [str(v) for v in check_axioms(assignment)] == [
+            "normalization: q(TRUE) = 1/2 != 1",
+            "additivity: q(a | b) + q(c) = 1/5 + 1/5 != q(TRUE) = 1/2",
+        ]
+        assignment = QuotientAssignment(space)
+        assignment.set_quotient(a | b, F(1, 2))
+        assignment.set_quotient(a, F(1, 4))
+        assignment.set_conditional(a, a | b, F(1, 3))
+        assert [str(v) for v in check_axioms(assignment)] == [
+            "multiplication: q(a) = 1/4 != q(a given a | b) * q(a | b) = 1/6",
+        ]
+
     def test_multiplication_violation_reported(self):
         space = OutcomeSpace(["ab", "anb", "nb"])
         a = space.proposition(["ab"])

@@ -181,11 +181,17 @@ class TestReindexingIdentity:
 
 
 class TestMomentRecurrences:
+    # j <= 600 keeps the O(j**2) oracle near a second; the library reaches
+    # the cap in a fraction of that
     def test_recurrences_equal_the_convolution(self):
-        # j <= 600 keeps the O(j**2) oracle near a second; the recurrences
-        # themselves reach the cap in a fraction of that
-        for measure in (Measure.FLAT, Measure.BURES):
-            assert exchangeable._sigma_upto(measure, 600)[:601] == convolution_sigmas(measure, 600)
+        assert exchangeable._sigma_upto(600)[:601] == convolution_sigmas(Measure.FLAT, 600)
+
+    def test_bures_closed_form_diagonal_equals_the_convolution(self):
+        # P(m, m) = E[q**m] = sigma_m / (m + 1): the Beta(3/2, 3/2) closed
+        # form against the eigenvalue moments of the Bures density
+        sigmas = convolution_sigmas(Measure.BURES, 600)
+        for m, sigma in enumerate(sigmas):
+            assert run_probability(Measure.BURES, RunSpec(m, m)) == sigma / (m + 1), m
 
 
 class TestRunProbability:
@@ -237,6 +243,11 @@ class TestSuccession:
     def test_anchor_values(self):
         assert succession(Measure.FLAT, RunSpec(1, 1)) == F(5, 9)
         assert succession(Measure.BURES, RunSpec(1, 1)) == F(5, 8)
+
+    def test_bures_is_laplace_with_pseudo_count_three_halves(self):
+        # q ~ Beta(3/2, 3/2) under the Bures measure
+        for n, k in [(100, 20), (400, 80), (1500, 1499), (1999, 400)]:
+            assert succession(Measure.BURES, RunSpec(n, k)) == F(2 * k + 3, 2 * (n + 3))
 
     def test_equals_laplace_times_correction_ratio(self):
         for measure in ALL_MEASURES:
@@ -406,37 +417,37 @@ class TestRunSpecValidation:
 
 
 class TestConcurrency:
-    MEASURES = (Measure.FLAT, Measure.BURES)
-    SPEC = RunSpec(400, 123)
+    SPECS = (RunSpec(400, 123), RunSpec(600, 17))
 
     def _cold_caches(self, monkeypatch):
-        for measure in self.MEASURES:
-            monkeypatch.setitem(exchangeable._sigma_cache, measure, [])
+        # the flat moment list is the only cache in the module
+        monkeypatch.setattr(exchangeable, "_sigma_cache", [F(1)])
 
     def test_concurrent_probability_calls_agree_with_serial(self, monkeypatch):
         self._cold_caches(monkeypatch)
-        serial = {m: run_probability(m, self.SPEC) for m in self.MEASURES}
+        serial = {spec: run_probability(Measure.FLAT, spec) for spec in self.SPECS}
         results = []
 
-        def work(measure, barrier):
+        def work(spec, barrier):
             barrier.wait()
-            results.append((measure, run_probability(measure, self.SPEC)))
+            results.append((spec, run_probability(Measure.FLAT, spec)))
 
         old_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, so fills interleave
         try:
-            for _ in range(5):  # each round races on freshly emptied caches
+            for _ in range(5):  # each round races on a freshly reset list
                 self._cold_caches(monkeypatch)
-                barrier = threading.Barrier(8)
+                barrier = threading.Barrier(8, timeout=60)
                 threads = [
-                    threading.Thread(target=work, args=(self.MEASURES[i % 2], barrier))
+                    threading.Thread(target=work, args=(self.SPECS[i % 2], barrier))
                     for i in range(8)
                 ]
                 for t in threads:
                     t.start()
                 for t in threads:
-                    t.join()
+                    t.join(timeout=60)
+                    assert not t.is_alive()
         finally:
             sys.setswitchinterval(old_interval)
         assert len(results) == 40
-        assert all(value == serial[measure] for measure, value in results)
+        assert all(value == serial[spec] for spec, value in results)
