@@ -17,10 +17,12 @@ measurements.  The single-trial success probability q has density Beta(1, 1)
 probability of one more success is the Laplace rule (k+1)/(n+2) times a
 measure-dependent correction ratio, so Bures gives (2k+3)/(2(n+3)) exactly;
 the correction term itself is computed independently by ``correction_term``
-as a double binomial sum over exact Beta values.
+as a double binomial sum over exact Beta values.  Its flat kernel is
+``classical_predictive``; its Bures kernel is rational because the density's
+2/pi cancels the pi of the half-integer Beta inside ``_beta_half_over_pi``.
 
-All arithmetic is exact; decimal rendering happens only at the output
-boundary (12 significant digits).
+Every value is a plain Fraction; decimal rendering happens only at the
+output boundary (12 significant digits).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence, TextIO, Union
 
-from .coherence import laplace_succession
+from .coherence import classical_predictive, laplace_succession
 from .errors import CapacityError
 from .rationals import format_decimal, format_rational
 
@@ -61,78 +63,6 @@ class RunSpec:
             raise ValueError(f"successes k={self.k} exceed trials n={self.n}")
 
 
-@dataclass(frozen=True)
-class PiScaledRational:
-    """An exact value ``coeff * pi**pi_power`` with pi_power in {0, 1}.
-
-    Beta values at half-integer arguments carry one factor of pi; it cancels
-    against the 1/pi in the Bures eigenvalue density, so every user-facing
-    result has pi_power 0.  Addition requires matching powers; multiplication
-    adds them and must stay inside {0, 1}.
-    """
-
-    coeff: Fraction
-    pi_power: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
-        if self.pi_power not in (0, 1):
-            raise ValueError(f"pi_power must be 0 or 1, got {self.pi_power}")
-
-    def __add__(self, other: "PiScaledRational") -> "PiScaledRational":
-        if not isinstance(other, PiScaledRational):
-            return NotImplemented
-        if self.pi_power != other.pi_power:
-            raise ValueError("cannot add values with different pi powers")
-        return PiScaledRational(self.coeff + other.coeff, self.pi_power)
-
-    def __mul__(self, other) -> "PiScaledRational":
-        if isinstance(other, PiScaledRational):
-            return PiScaledRational(
-                self.coeff * other.coeff, self.pi_power + other.pi_power
-            )
-        return PiScaledRational(self.coeff * Fraction(other), self.pi_power)
-
-    __rmul__ = __mul__
-
-    def over_pi(self) -> "PiScaledRational":
-        """Divide by pi (only legal when a factor of pi is present)."""
-        return PiScaledRational(self.coeff, self.pi_power - 1)
-
-    def as_fraction(self) -> Fraction:
-        if self.pi_power != 0:
-            raise ValueError("value still carries a factor of pi")
-        return self.coeff
-
-    def __float__(self) -> float:
-        return float(self.coeff) * math.pi ** self.pi_power
-
-
-def beta_int(a: int, b: int) -> PiScaledRational:
-    """Euler Beta at positive integer arguments: (a-1)!(b-1)!/(a+b-1)!."""
-    if a < 1 or b < 1:
-        raise ValueError("beta_int needs positive integer arguments")
-    return PiScaledRational(
-        Fraction(math.factorial(a - 1) * math.factorial(b - 1), math.factorial(a + b - 1))
-    )
-
-
-def beta_half(a2: int, b2: int) -> PiScaledRational:
-    """Euler Beta at half-integer arguments a2/2, b2/2 (a2, b2 odd).
-
-    With Gamma(m + 1/2) = (2m)! sqrt(pi) / (4**m m!), the value is an exact
-    rational multiple of pi; the result has pi_power 1.
-    """
-    if a2 < 1 or b2 < 1 or a2 % 2 == 0 or b2 % 2 == 0:
-        raise ValueError("beta_half needs odd positive arguments (numerators over 2)")
-    m, n = (a2 - 1) // 2, (b2 - 1) // 2
-    coeff = Fraction(
-        math.factorial(2 * m) * math.factorial(2 * n),
-        4 ** (m + n) * math.factorial(m) * math.factorial(n) * math.factorial(m + n),
-    )
-    return PiScaledRational(coeff, 1)
-
-
 def _check_cap(n: int) -> None:
     if n > DEFAULT_N_CAP:
         raise CapacityError(f"trial count {n} exceeds the cap {DEFAULT_N_CAP}")
@@ -140,15 +70,30 @@ def _check_cap(n: int) -> None:
 
 # --- correction term: literal double binomial sum -------------------------
 
+def _half_rising(a2: int, m: int) -> int:
+    """2**m times the rising factorial (a2/2)_m."""
+    return math.prod(range(a2, a2 + 2 * m, 2))
+
+
+def _beta_half_over_pi(a2: int, b2: int) -> Fraction:
+    """B(a2/2, b2/2) / pi for odd a2, b2: with Gamma(m + 1/2) = sqrt(pi)
+    (1/2)_m the pi of the two Gammas comes out whole, leaving a rational."""
+    m, n = (a2 - 1) // 2, (b2 - 1) // 2
+    return Fraction(_half_rising(1, m) * _half_rising(1, n), 2 ** (m + n) * math.factorial(m + n))
+
+
 def correction_term(measure: Measure, spec: RunSpec) -> Fraction:
     """The factor multiplying the pure-state run probability for a measure.
 
     Computed as the double sum over j in [0, k], l in [0, n-k] of
     ``C(j+l, j) * C(n-j-l, k-j) * kernel(r)`` with r = k - j + l, where the
-    kernel is the measure's eigenvalue moment: B(n-r+1, r+1) for the flat
-    measure, and ``(2/pi) * ((n-2r)**2 + n + 1) / ((r+1/2)(n-r+1/2)) *
-    B(n-r+3/2, r+3/2)`` for the Bures measure.  Identically 1 for the pure
-    measure, which makes the predictive formula uniform across measures.
+    kernel is the measure's eigenvalue moment.  For the flat measure it is
+    B(n-r+1, r+1), read from Pascal's rows as ``classical_predictive(n, r)``;
+    for the Bures measure it is ``(2/pi) * ((n-2r)**2 + n + 1) /
+    ((r+1/2)(n-r+1/2)) * B(n-r+3/2, r+3/2)``, where the pi of the Beta value
+    cancels the density's 1/pi inside ``_beta_half_over_pi``.  Every term is a
+    plain Fraction.  Identically 1 for the pure measure, which makes the
+    predictive formula uniform across measures.
     """
     _check_cap(spec.n)
     n, k = spec.n, spec.k
@@ -162,22 +107,18 @@ def correction_term(measure: Measure, spec: RunSpec) -> Fraction:
         for l in range(n - k + 1):
             weights[k - j + l] += math.comb(j + l, j) * math.comb(n - j - l, k - j)
 
-    if measure is Measure.FLAT:
-        total = Fraction(0)
-        for r, w in enumerate(weights):
-            if w:
-                total += w * beta_int(n - r + 1, r + 1).as_fraction()
-        return total
-
-    total_pi = PiScaledRational(Fraction(0), 1)
+    total = Fraction(0)
     for r, w in enumerate(weights):
         if not w:
             continue
-        quad = (n - 2 * r) ** 2 + n + 1
-        # 2 * quad / ((r+1/2)(n-r+1/2)) = 8 * quad / ((2r+1)(2n-2r+1))
-        rational_part = Fraction(8 * quad * w, (2 * r + 1) * (2 * (n - r) + 1))
-        total_pi = total_pi + beta_half(2 * (n - r) + 3, 2 * r + 3) * rational_part
-    return total_pi.over_pi().as_fraction()
+        if measure is Measure.FLAT:
+            total += w * classical_predictive(n, r)
+        else:
+            # (2/pi) * quad / ((r+1/2)(n-r+1/2)) = 8 * quad / ((2r+1)(2n-2r+1)) / pi
+            quad = (n - 2 * r) ** 2 + n + 1
+            scale = Fraction(8 * quad * w, (2 * r + 1) * (2 * (n - r) + 1))
+            total += scale * _beta_half_over_pi(2 * (n - r) + 3, 2 * r + 3)
+    return total
 
 
 # --- run probabilities -------------------------------------------------------
@@ -209,11 +150,6 @@ def _sigma_upto(j_max: int) -> list[Fraction]:
             j = len(_sigma_cache)
             _sigma_cache.append(_sigma_cache[-1] / 2 + Fraction(1, j + 1))
     return _sigma_cache
-
-
-def _half_rising(a2: int, m: int) -> int:
-    """2**m times the rising factorial (a2/2)_m."""
-    return math.prod(range(a2, a2 + 2 * m, 2))
 
 
 def run_probability(measure: Measure, spec: RunSpec) -> Fraction:

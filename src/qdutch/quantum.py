@@ -322,6 +322,18 @@ def quantum_average_payoff(book: Sequence[QuantumBet], rho: DensityOperator) -> 
 # Text format: {"dim": d, "entries": [[re, im], ...]} with d*d row-major
 # entries as decimal doubles.
 
+#: The types `json` gives a number; ``type(x) in`` also refuses bool, an int subclass.
+_JSON_NUMBER = (int, float)
+
+
+def _json_number(value, what: str, types: tuple = _JSON_NUMBER):
+    """``value`` unchanged if JSON gave it as one of ``types``; refuse anything else."""
+    if type(value) not in types:
+        kind = "number" if types is _JSON_NUMBER else "integer"
+        raise ValueError(f"{what} {value!r} is not a JSON {kind}")
+    return value
+
+
 def operator_to_json(matrix: np.ndarray) -> dict:
     import numpy as np
     m = np.asarray(matrix, dtype=complex)
@@ -334,10 +346,10 @@ def operator_to_json(matrix: np.ndarray) -> dict:
 def operator_from_json(doc: dict) -> np.ndarray:
     import numpy as np
     try:
-        dim = int(doc["dim"])
-        entries = doc["entries"]
-    except (KeyError, TypeError, OverflowError) as exc:
+        dim, entries = doc["dim"], doc["entries"]
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"operator file missing field: {exc}") from exc
+    _json_number(dim, '"dim"', (int,))
     if not isinstance(entries, list):
         raise ValueError("operator file entries must be a list")
     if len(entries) != dim * dim:
@@ -345,10 +357,13 @@ def operator_from_json(doc: dict) -> np.ndarray:
             f"operator file dim={dim} needs {dim * dim} entries, found {len(entries)}"
         )
     try:
-        flat = np.array([complex(re, im) for re, im in entries])
+        flat = [complex(re, im) for re, im in entries
+                if type(re) in _JSON_NUMBER and type(im) in _JSON_NUMBER]
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"operator entries must be [re, im] number pairs: {exc}") from exc
-    return flat.reshape(dim, dim)
+    if len(flat) != len(entries):
+        raise ValueError("operator entries must be JSON numbers, not bools or strings")
+    return np.array(flat).reshape(dim, dim)
 
 
 def save_operator(matrix: np.ndarray, path: Union[str, Path]) -> None:
@@ -382,10 +397,10 @@ def load_quantum_book(
     """
     doc = _load_json(path)
     try:
-        dim = int(doc["dim"])
-        raw_bets = doc["bets"]
-    except (KeyError, TypeError, OverflowError) as exc:
+        dim, raw_bets = doc["dim"], doc["bets"]
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: book file missing field: {exc}") from exc
+    _json_number(dim, f'{path}: "dim"', (int,))
     if not isinstance(raw_bets, list):
         raise ValueError(f'{path}: book "bets" must be a list')
 
@@ -401,8 +416,9 @@ def load_quantum_book(
             condition = raw.get("condition")
             condition = Projector.identity(dim) if condition is None else projector(condition)
             quotient = raw.get("quotient")
-            quotient = None if quotient is None else float(quotient)
-            bets.append(QuantumBet(target, condition, quotient, float(raw.get("stake", 1.0))))
+            quotient = None if quotient is None else float(_json_number(quotient, "quotient"))
+            stake = float(_json_number(raw.get("stake", 1.0), "stake"))
+            bets.append(QuantumBet(target, condition, quotient, stake))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}: bet #{i}: {exc}") from exc
     if not math.isfinite(sum(abs(bet.stake) for bet in bets)):

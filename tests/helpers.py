@@ -8,8 +8,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -383,3 +387,14 @@ def _pivot(tableau, obj, basis, pivot_row, pivot_col, rhs_col) -> None:
             if pivot_line[j] != 0:
                 obj[j] -= factor * pivot_line[j]
     basis[pivot_row] = pivot_col
+
+
+# --- subprocess runs ----------------------------------------------------------
+
+def fresh_python(*args: str) -> str:
+    """Run a fresh interpreter on this checkout's sources; return its stdout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout

@@ -2,11 +2,7 @@
 
 import io
 import json
-import os
-import subprocess
-import sys
 from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +11,7 @@ from hypothesis import strategies as st
 
 from qdutch import cli
 from qdutch.quantum import operator_to_json
+from helpers import fresh_python
 
 UP = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
 PLUS = [[0.5, 0.0], [0.5, 0.0], [0.5, 0.0], [0.5, 0.0]]
@@ -257,6 +254,14 @@ class TestQuantumBookCommand:
         assert "total |stake| = 3" in out
 
 
+    def test_integer_quotient_and_stake_are_numbers(self, tmp_path, mixed_state, capsys):
+        bet = {"target": UP, "condition": None, "quotient": 1, "stake": 2}
+        book = write_json(tmp_path / "qbook.json", {"dim": 2, "bets": [bet]})
+        assert cli.main(["quantum-book", "--state", mixed_state, "--book", book]) == 0
+        # the bet wins nothing and loses 2 * (1 - 1/2)
+        assert float(capsys.readouterr().out.splitlines()[0].split("=")[1]) == -1.0
+
+
 class TestArgumentHandling:
     def test_unknown_flag_exits_two(self, capsys):
         assert cli.main(["succession", "--nope", "1"]) == 2
@@ -323,6 +328,28 @@ class TestMalformedInputs:
         assert captured.out == ""
         assert "average payoff" in captured.err
 
+    @pytest.mark.parametrize(
+        "command, doc, message",
+        [
+            ("luders", {"dim": 2.7, "entries": UP}, '"dim" 2.7 is not a JSON integer'),
+            ("luders", {"dim": "2", "entries": UP}, """"dim" '2' is not a JSON integer"""),
+            ("luders", {"dim": 2, "entries": [[True, 0], *UP[1:]]}, "entries must be JSON numbers"),
+            ("quantum-book", {"dim": 2.0, "bets": []}, '"dim" 2.0 is not a JSON integer'),
+            ("quantum-book", {"dim": 2, "bets": [{"target": UP, "quotient": "0.25"}]},
+             "quotient '0.25' is not a JSON number"),
+            ("quantum-book", {"dim": 2, "bets": [{"target": UP, "stake": "5"}]},
+             "stake '5' is not a JSON number"),
+            ("quantum-book", {"dim": 2, "bets": [{"target": UP, "stake": False}]},
+             "stake False is not a JSON number"),
+        ],
+    )
+    def test_wrong_json_types_in_quantum_files(self, tmp_path, mixed_state, command, doc, message, capsys):
+        path = write_json(tmp_path / "doc.json", doc)
+        flag = "--projector" if command == "luders" else "--book"
+        captured = self._run([command, "--state", mixed_state, flag, path], capsys)
+        assert captured.out == ""
+        assert message in captured.err
+
     @pytest.mark.parametrize("nmax", ["-1", "2001"])
     def test_nmax_out_of_range(self, nmax, capsys):
         # rejected before any sampling, so the cap case returns at once
@@ -363,25 +390,16 @@ class TestMalformedInputs:
         assert "--tol" in capsys.readouterr().err
 
 
-def _fresh_python(*args: str) -> str:
-    """Run a fresh interpreter on this checkout's sources; return its stdout."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
-    assert result.returncode == 0, result.stderr
-    return result.stdout
-
-
 @pytest.mark.parametrize("module", ["qdutch", "qdutch.cli"])
 def test_runs_as_a_module(module):
-    out = _fresh_python("-m", module, "succession", "--measure", "flat", "--n", "10", "--k", "3")
+    out = fresh_python("-m", module, "succession", "--measure", "flat", "--n", "10", "--k", "3")
     assert out == "2759/6792 0.406213191991\n"
 
 
 # --- numpy stays out of the exact layers ------------------------------------
 
 def test_import_loads_every_submodule_but_no_numpy():
-    out = _fresh_python(
+    out = fresh_python(
         "-c",
         "import sys, qdutch\n"
         "print('numpy' in sys.modules)\n"
@@ -408,7 +426,7 @@ def test_exact_commands_run_without_numpy(overround_book):
         "        assert cli.main(argv) == 0, argv\n"
         "print('numpy' in sys.modules)\n"
     )
-    assert _fresh_python("-c", script, overround_book) == "False\n"
+    assert fresh_python("-c", script, overround_book) == "False\n"
 
 
 def test_first_numpy_use_from_threads_at_once():
@@ -434,7 +452,7 @@ def test_first_numpy_use_from_threads_at_once():
         "    t.join(timeout=60)\n"
         "print(sum(t.is_alive() for t in threads), errors)\n"
     )
-    assert _fresh_python("-c", script) == "0 []\n"
+    assert fresh_python("-c", script) == "0 []\n"
 
 
 # --- fuzzing the file loaders through main() -------------------------------

@@ -17,10 +17,8 @@ from qdutch import (
     CapacityError,
     DEFAULT_N_CAP,
     Measure,
-    PiScaledRational,
     RunSpec,
-    beta_half,
-    beta_int,
+    classical_predictive,
     correction_ratio,
     correction_term,
     distribution_over_k,
@@ -39,81 +37,49 @@ F = Fraction
 ALL_MEASURES = list(Measure)
 
 
-class TestPiScaledRational:
-    def test_addition_requires_matching_power(self):
-        a = PiScaledRational(F(1, 2), 1)
-        b = PiScaledRational(F(1, 3), 1)
-        assert (a + b).coeff == F(5, 6)
-        with pytest.raises(ValueError):
-            a + PiScaledRational(F(1))
-
-    def test_multiplication_adds_powers(self):
-        a = PiScaledRational(F(2), 1)
-        assert (a * F(3, 4)).pi_power == 1
-        with pytest.raises(ValueError):
-            a * a  # pi**2 is out of range by design
-
-    def test_over_pi_strips_one_factor(self):
-        assert PiScaledRational(F(3), 1).over_pi() == PiScaledRational(F(3), 0)
-        with pytest.raises(ValueError):
-            PiScaledRational(F(3), 0).over_pi()
-
-    def test_as_fraction_requires_power_zero(self):
-        with pytest.raises(ValueError):
-            PiScaledRational(F(1), 1).as_fraction()
-        assert PiScaledRational(F(7, 3)).as_fraction() == F(7, 3)
-
-    def test_float_value(self):
-        assert float(PiScaledRational(F(1, 2), 1)) == pytest.approx(math.pi / 2)
-
-
 class TestBetaValues:
+    # B(a, b) at integer arguments is classical_predictive(a+b-2, a-1); at
+    # odd half-integer arguments it is pi times exchangeable._beta_half_over_pi
+
     def test_integer_beta_values(self):
-        assert beta_int(1, 1).as_fraction() == 1
-        assert beta_int(2, 2).as_fraction() == F(1, 6)
-        # oracle: integral of (1-p)**2 over [0,1]
-        assert beta_int(1, 3).as_fraction() == F(1, 3)
+        assert classical_predictive(0, 0) == 1  # B(1, 1)
+        assert classical_predictive(2, 1) == F(1, 6)  # B(2, 2)
+        # oracle: integral of (1-p)**2 over [0,1] = B(1, 3)
+        assert classical_predictive(2, 0) == F(1, 3)
 
     def test_integer_beta_against_oracle(self):
         import sympy as sp
 
         for a in range(1, 6):
             for b in range(1, 6):
-                got = beta_int(a, b).as_fraction()
+                got = classical_predictive(a + b - 2, a - 1)
                 assert oracle_beta(F(a), F(b)) == sp.Rational(got.numerator, got.denominator)
 
     def test_integer_beta_rejects_nonpositive(self):
+        # B(0, 1) and B(1, -2) map to negative counts
         with pytest.raises(ValueError):
-            beta_int(0, 1)
+            classical_predictive(-1, -1)
         with pytest.raises(ValueError):
-            beta_int(1, -2)
+            classical_predictive(-3, 0)
 
     def test_half_integer_beta_values(self):
-        assert beta_half(3, 3) == PiScaledRational(F(1, 8), 1)
-        assert beta_half(3, 5) == PiScaledRational(F(1, 16), 1)
-        assert beta_half(1, 1) == PiScaledRational(F(1), 1)
+        assert exchangeable._beta_half_over_pi(3, 3) == F(1, 8)
+        assert exchangeable._beta_half_over_pi(3, 5) == F(1, 16)
+        assert exchangeable._beta_half_over_pi(1, 1) == 1
 
     def test_half_integer_beta_against_oracle(self):
         import sympy as sp
 
         for a2 in (1, 3, 5, 7):
             for b2 in (1, 3, 5):
-                got = beta_half(a2, b2)
+                got = exchangeable._beta_half_over_pi(a2, b2)
                 expected = oracle_beta(F(a2, 2), F(b2, 2))
-                assert sp.simplify(expected - sp.Rational(got.coeff.numerator, got.coeff.denominator) * sp.pi) == 0
+                assert sp.simplify(expected / sp.pi - sp.Rational(got.numerator, got.denominator)) == 0
 
     def test_half_integer_beta_arcsine_moments(self):
         # B(m + 1/2, 1/2) = pi * C(2m, m) / 4**m
         for m in range(6):
-            got = beta_half(2 * m + 1, 1)
-            assert got.coeff == F(math.comb(2 * m, m), 4**m)
-            assert got.pi_power == 1
-
-    def test_half_integer_beta_rejects_even_arguments(self):
-        with pytest.raises(ValueError):
-            beta_half(2, 3)
-        with pytest.raises(ValueError):
-            beta_half(3, 0)
+            assert exchangeable._beta_half_over_pi(2 * m + 1, 1) == F(math.comb(2 * m, m), 4**m)
 
 
 class TestCorrectionTerm:
@@ -139,9 +105,7 @@ class TestCorrectionTerm:
         for measure, n_max in grids.items():
             for n in range(0, n_max + 1):
                 for k in range(n + 1):
-                    expected = oracle_run_probability(measure, n, k) / beta_int(
-                        n - k + 1, k + 1
-                    ).as_fraction()
+                    expected = oracle_run_probability(measure, n, k) / classical_predictive(n, k)
                     assert correction_term(measure, RunSpec(n, k)) == expected
 
     def test_symmetry_under_success_failure_swap(self):
@@ -167,16 +131,8 @@ class TestReindexingIdentity:
             for k in range(n + 1):
                 for j in range(k + 1):
                     for l in range(n - k + 1):
-                        lhs = (
-                            math.comb(k, j)
-                            * math.comb(n - k, l)
-                            * beta_int(n - j - l + 1, j + l + 1).as_fraction()
-                        )
-                        rhs = (
-                            math.comb(j + l, j)
-                            * math.comb(n - j - l, k - j)
-                            * beta_int(n - k + 1, k + 1).as_fraction()
-                        )
+                        lhs = math.comb(k, j) * math.comb(n - k, l) * classical_predictive(n, j + l)
+                        rhs = math.comb(j + l, j) * math.comb(n - j - l, k - j) * classical_predictive(n, k)
                         assert lhs == rhs
 
 
@@ -205,10 +161,7 @@ class TestRunProbability:
     def test_pure_measure_reduces_to_integer_beta(self):
         for n in range(0, 12):
             for k in range(n + 1):
-                assert (
-                    run_probability(Measure.PURE_UNIFORM, RunSpec(n, k))
-                    == beta_int(n - k + 1, k + 1).as_fraction()
-                )
+                assert run_probability(Measure.PURE_UNIFORM, RunSpec(n, k)) == classical_predictive(n, k)
 
     def test_agrees_with_correction_term_route(self):
         # the moment route and the literal double sum are algebraically equal
@@ -216,10 +169,7 @@ class TestRunProbability:
             for n in range(0, 26):
                 for k in range(n + 1):
                     spec = RunSpec(n, k)
-                    expected = (
-                        beta_int(n - k + 1, k + 1).as_fraction()
-                        * correction_term(measure, spec)
-                    )
+                    expected = classical_predictive(n, k) * correction_term(measure, spec)
                     assert run_probability(measure, spec) == expected, (measure, n, k)
 
     def test_values_lie_in_the_unit_interval(self):
