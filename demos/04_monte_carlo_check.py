@@ -28,10 +28,9 @@ for measure in Measure:
 print("\n== exact vs estimated run probabilities ==")
 for measure in Measure:
     config = SampleConfig(measure=measure, seed=11, samples=N)
-    for spec in (RunSpec(2, 2), RunSpec(5, 1)):
-        r = compare_exact_vs_mc(config, spec)
+    for r in compare_exact_vs_mc(config, [RunSpec(2, 2), RunSpec(5, 1)]):
         print(
-            f"  {measure.value:5s} (n={spec.n}, k={spec.k}): exact {float(r.exact):.6f}, "
+            f"  {measure.value:5s} (n={r.n}, k={r.k}): exact {float(r.exact):.6f}, "
             f"estimate {r.estimate:.6f} +/- {r.stderr:.6f}, z = {r.z:.2f}"
         )
 

@@ -35,7 +35,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence, TextIO, Union
 
-from .coherence import classical_predictive, laplace_succession
+from .coherence import _check_counts, classical_predictive, laplace_succession
 from .errors import CapacityError
 from .rationals import format_decimal, format_rational
 
@@ -57,10 +57,7 @@ class RunSpec:
     k: int
 
     def __post_init__(self):
-        if self.n < 0 or self.k < 0:
-            raise ValueError("counts must be nonnegative")
-        if self.k > self.n:
-            raise ValueError(f"successes k={self.k} exceed trials n={self.n}")
+        _check_counts(self.n, self.k)
 
 
 def _check_cap(n: int) -> None:

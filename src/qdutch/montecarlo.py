@@ -11,7 +11,9 @@ remaining rotation angles never enter and are integrated out analytically.
 Determinism contract: for a fixed (seed, samples) the output is
 bit-identical.  Chunk ``c`` always covers samples ``[c*CHUNK, (c+1)*CHUNK)``
 and draws from an independent substream seeded by ``[seed, c]``; chunks are
-drawn and reduced in chunk order, in one sequential stream.
+drawn and reduced in chunk order, in one sequential stream.  The estimators
+take a sequence of ``RunSpec``s and draw the stream once for all of them; a
+spec's estimate does not depend on which other specs share the call.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 # numpy is imported inside each function that uses it, so that `import qdutch`
 # and the exact-engine commands never load it.
@@ -158,26 +160,36 @@ def draw_samples(config: SampleConfig) -> SampleBatch:
     return SampleBatch(np.concatenate(lams), np.concatenate(ts), proposals)
 
 
+def _run_sums(config: SampleConfig, specs: Sequence[RunSpec]) -> list[list[float]]:
+    """``[sum x, sum x*x]`` per spec, ``x = q**k (1-q)**(n-k)``: each chunk
+    is drawn once and reduced for every spec in turn, in chunk order."""
+    sums = [[0.0, 0.0] for _ in specs]
+    for lam1, t, _ in _iter_chunks(config):
+        q = _success_probability(lam1, t)
+        for spec, acc in zip(specs, sums):
+            x = q**spec.k * (1.0 - q) ** (spec.n - spec.k)
+            acc[0] += float(x.sum())
+            acc[1] += float((x * x).sum())
+    return sums
+
+
 def estimate_run_probability(
-    config: SampleConfig, spec: RunSpec
-) -> tuple[float, float]:
-    """Monte Carlo estimate (mean, standard error) of the exact run probability.
+    config: SampleConfig, specs: Sequence[RunSpec]
+) -> list[tuple[float, float]]:
+    """Monte Carlo estimates (mean, standard error) of the exact run
+    probabilities, one per spec, all from one pass over the sample stream.
 
     Averages q**k (1-q)**(n-k) over sampled states; unbiased by construction.
     """
     if config.samples < 100:
         raise ValueError("need at least 100 samples for a run-probability estimate")
     n = config.samples
-    sum_x = 0.0
-    sum_xx = 0.0
-    for lam1, t, _ in _iter_chunks(config):
-        q = _success_probability(lam1, t)
-        x = q**spec.k * (1.0 - q) ** (spec.n - spec.k)
-        sum_x += float(x.sum())
-        sum_xx += float((x * x).sum())
-    mean = sum_x / n
-    var = max(0.0, (sum_xx - n * mean * mean) / (n - 1))
-    return mean, sqrt(var / n)
+    estimates = []
+    for sum_x, sum_xx in _run_sums(config, specs):
+        mean = sum_x / n
+        var = max(0.0, (sum_xx - n * mean * mean) / (n - 1))
+        estimates.append((mean, sqrt(var / n)))
+    return estimates
 
 
 def estimate_succession(config: SampleConfig, spec: RunSpec) -> tuple[float, float]:
@@ -185,24 +197,21 @@ def estimate_succession(config: SampleConfig, spec: RunSpec) -> tuple[float, flo
 
     Numerator (one extra success) and denominator share one sample set, so
     the ratio benefits from their positive correlation; the standard error
-    comes from the delta method.  Emits :class:`UnstableRatioWarning` when
-    the denominator mean is within 5 standard errors of zero.
+    comes from the delta method, with the cross sum read off the run
+    (2n+1, 2k+1).  Emits :class:`UnstableRatioWarning` when the denominator
+    mean is within 5 standard errors of zero.
     """
-    import numpy as np
     if config.samples < 1000:
         raise ValueError("need at least 1000 samples for a succession estimate")
     n = config.samples
-    sums = np.zeros(5)  # x, y, xx, yy, xy
-    for lam1, t, _ in _iter_chunks(config):
-        q = _success_probability(lam1, t)
-        x = q**spec.k * (1.0 - q) ** (spec.n - spec.k)
-        y = x * q
-        sums += [x.sum(), y.sum(), (x * x).sum(), (y * y).sum(), (x * y).sum()]
-    mean_x = sums[0] / n
-    mean_y = sums[1] / n
-    var_x = max(0.0, (sums[2] - n * mean_x**2) / (n - 1))
-    var_y = max(0.0, (sums[3] - n * mean_y**2) / (n - 1))
-    cov = (sums[4] - n * mean_x * mean_y) / (n - 1)
+    (sum_x, sum_xx), (sum_y, sum_yy), (sum_xy, _) = _run_sums(
+        config, [spec, RunSpec(spec.n + 1, spec.k + 1), RunSpec(2 * spec.n + 1, 2 * spec.k + 1)]
+    )
+    mean_x = sum_x / n
+    mean_y = sum_y / n
+    var_x = max(0.0, (sum_xx - n * mean_x**2) / (n - 1))
+    var_y = max(0.0, (sum_yy - n * mean_y**2) / (n - 1))
+    cov = (sum_xy - n * mean_x * mean_y) / (n - 1)
     se_x = sqrt(var_x / n)
     if mean_x < 5.0 * se_x:
         warnings.warn(
@@ -240,22 +249,17 @@ class ComparisonReport:
         }
 
 
-def compare_exact_vs_mc(config: SampleConfig, spec: RunSpec) -> ComparisonReport:
-    """Run-probability agreement check between the exact engine and sampling."""
-    exact = run_probability(config.measure, spec)
-    estimate, stderr = estimate_run_probability(config, spec)
-    diff = abs(float(exact) - estimate)
-    if stderr == 0.0:
-        z = 0.0 if diff == 0.0 else float("inf")
-    else:
-        z = diff / stderr
-    return ComparisonReport(
-        measure=config.measure,
-        n=spec.n,
-        k=spec.k,
-        exact=exact,
-        estimate=estimate,
-        stderr=stderr,
-        z=z,
-        passed=z <= Z_THRESHOLD,
-    )
+def compare_exact_vs_mc(
+    config: SampleConfig, specs: Sequence[RunSpec]
+) -> list[ComparisonReport]:
+    """Run-probability agreement checks between the exact engine and one
+    pass over the sample stream, one report per spec."""
+    exacts = [run_probability(config.measure, spec) for spec in specs]
+    reports = []
+    for spec, exact, (mean, se) in zip(specs, exacts, estimate_run_probability(config, specs)):
+        diff = abs(float(exact) - mean)
+        z = diff / se if se != 0.0 else (0.0 if diff == 0.0 else float("inf"))
+        reports.append(ComparisonReport(
+            config.measure, spec.n, spec.k, exact, mean, se, z, z <= Z_THRESHOLD
+        ))
+    return reports

@@ -349,7 +349,8 @@ def operator_from_json(doc: dict) -> np.ndarray:
         dim, entries = doc["dim"], doc["entries"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"operator file missing field: {exc}") from exc
-    _json_number(dim, '"dim"', (int,))
+    if not MIN_DIM <= _json_number(dim, '"dim"', (int,)) <= MAX_DIM:
+        raise ValueError(f'operator file "dim" {dim} lies outside [{MIN_DIM}, {MAX_DIM}]')
     if not isinstance(entries, list):
         raise ValueError("operator file entries must be a list")
     if len(entries) != dim * dim:
@@ -400,7 +401,8 @@ def load_quantum_book(
         dim, raw_bets = doc["dim"], doc["bets"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: book file missing field: {exc}") from exc
-    _json_number(dim, f'{path}: "dim"', (int,))
+    if not MIN_DIM <= _json_number(dim, f'{path}: "dim"', (int,)) <= MAX_DIM:
+        raise ValueError(f'{path}: book "dim" {dim} lies outside [{MIN_DIM}, {MAX_DIM}]')
     if not isinstance(raw_bets, list):
         raise ValueError(f'{path}: book "bets" must be a list')
 

@@ -341,6 +341,11 @@ class TestMalformedInputs:
              "stake '5' is not a JSON number"),
             ("quantum-book", {"dim": 2, "bets": [{"target": UP, "stake": False}]},
              "stake False is not a JSON number"),
+            # refused before numpy's reshape sees a negative size
+            ("luders", {"dim": -2, "entries": UP}, '"dim" -2 lies outside [2, 16]'),
+            # refused although an empty book never builds an operator
+            ("quantum-book", {"dim": -3, "bets": []}, '"dim" -3 lies outside [2, 16]'),
+            ("quantum-book", {"dim": 17, "bets": []}, '"dim" 17 lies outside [2, 16]'),
         ],
     )
     def test_wrong_json_types_in_quantum_files(self, tmp_path, mixed_state, command, doc, message, capsys):

@@ -16,6 +16,7 @@ from qdutch import (
     sample_state,
 )
 from qdutch.montecarlo import CHUNK, _sample_arrays
+from helpers import fresh_python
 
 N_BIG = 400_000
 
@@ -90,6 +91,20 @@ class TestDeterminism:
         assert np.array_equal(batch.t, np.concatenate([t for _, t, _ in chunks]))
         assert batch.proposals == sum(proposals for _, _, proposals in chunks)
 
+    @pytest.mark.parametrize("measure", list(Measure))
+    def test_grid_call_equals_single_spec_calls(self, measure):
+        # three chunks; every spec's sums are reduced from the same stream
+        cfg = config(measure, samples=2 * CHUNK + 5)
+        grid = [RunSpec(n, k) for n in range(4) for k in range(n + 1)]
+        singles = [compare_exact_vs_mc(cfg, [spec])[0] for spec in grid]
+        assert compare_exact_vs_mc(cfg, grid) == singles
+
+    def test_definetti_verify_output_is_identical_across_interpreters(self):
+        argv = ("-m", "qdutch", "definetti-verify", "--nmax", "2", "--samples", "300000")
+        first = fresh_python(*argv)
+        assert first.endswith("# 18/18 comparisons passed at 4 sigma\n")
+        assert fresh_python(*argv) == first
+
     def test_different_seeds_differ(self):
         a = draw_samples(config(Measure.FLAT, samples=1_000, seed=1))
         b = draw_samples(config(Measure.FLAT, samples=1_000, seed=2))
@@ -103,7 +118,7 @@ class TestEstimators:
     )
     def test_run_probability_estimates_hit_the_exact_value(self, measure, n, k):
         cfg = config(measure)
-        estimate, se = estimate_run_probability(cfg, RunSpec(n, k))
+        [(estimate, se)] = estimate_run_probability(cfg, [RunSpec(n, k)])
         exact = float(run_probability(measure, RunSpec(n, k)))
         assert se > 0
         assert abs(estimate - exact) < 3 * se
@@ -125,14 +140,15 @@ class TestEstimators:
         # method error is far below the naive uncorrelated combination
         cfg = config(Measure.FLAT)
         est, se = estimate_succession(cfg, RunSpec(1, 1))
-        num, se_num = estimate_run_probability(cfg, RunSpec(2, 2))
-        den, se_den = estimate_run_probability(cfg, RunSpec(1, 1))
+        (num, se_num), (den, se_den) = estimate_run_probability(cfg, [RunSpec(2, 2), RunSpec(1, 1)])
         naive = est * np.hypot(se_num / num, se_den / den)
         assert se < naive
+        # the ratio is taken on the same stream as the run estimates
+        assert est == num / den
 
     def test_sample_floors(self):
         with pytest.raises(ValueError):
-            estimate_run_probability(config(Measure.FLAT, samples=99), RunSpec(1, 1))
+            estimate_run_probability(config(Measure.FLAT, samples=99), [RunSpec(1, 1)])
         with pytest.raises(ValueError):
             estimate_succession(config(Measure.FLAT, samples=999), RunSpec(1, 1))
 
@@ -150,22 +166,18 @@ class TestComparisonReport:
             (Measure.BURES, 2, 2),
             (Measure.PURE_UNIFORM, 4, 2),
         ]:
-            report = compare_exact_vs_mc(config(measure), RunSpec(n, k))
+            [report] = compare_exact_vs_mc(config(measure), [RunSpec(n, k)])
             assert report.passed and report.z <= 4
 
     def test_report_serialization(self):
-        report = compare_exact_vs_mc(
-            config(Measure.FLAT, samples=10_000), RunSpec(1, 1)
-        )
+        [report] = compare_exact_vs_mc(config(Measure.FLAT, samples=10_000), [RunSpec(1, 1)])
         doc = report.as_dict()
         assert doc["measure"] == "flat"
         assert doc["exact"] == "1/2"
         assert set(doc) == {"measure", "n", "k", "exact", "estimate", "stderr", "z", "pass"}
 
     def test_degenerate_zero_error_case(self):
-        report = compare_exact_vs_mc(
-            config(Measure.FLAT, samples=200), RunSpec(0, 0)
-        )
+        [report] = compare_exact_vs_mc(config(Measure.FLAT, samples=200), [RunSpec(0, 0)])
         assert report.stderr == 0.0 and report.z == 0.0 and report.passed
 
 
