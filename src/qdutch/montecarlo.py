@@ -63,18 +63,6 @@ def _success_probability(lam1, t):
 
 
 @dataclass(frozen=True)
-class StateSample:
-    """One sampled state, reduced to the measurement-relevant coordinates."""
-
-    lambda1: float          # larger eigenvalue, in [1/2, 1]
-    t: float                # cos(beta)**2, uniform on [0, 1]
-
-    @property
-    def success_probability(self) -> float:
-        return _success_probability(self.lambda1, self.t)
-
-
-@dataclass(frozen=True)
 class SampleBatch:
     lambda1: np.ndarray
     t: np.ndarray
@@ -133,12 +121,6 @@ def _sample_arrays(
         lam1 = np.maximum(lam, 1.0 - lam)
     t = rng.random(count)
     return lam1, t, proposals
-
-
-def sample_state(config: SampleConfig, rng: np.random.Generator) -> StateSample:
-    """Draw a single state from the configured measure using ``rng``."""
-    lam1, t, _ = _sample_arrays(config.measure, rng, 1)
-    return StateSample(float(lam1[0]), float(t[0]))
 
 
 def _iter_chunks(config: SampleConfig) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:

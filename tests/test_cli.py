@@ -401,23 +401,85 @@ def test_runs_as_a_module(module):
     assert out == "2759/6792 0.406213191991\n"
 
 
-# --- numpy stays out of the exact layers ------------------------------------
+# --- the lazy package surface -------------------------------------------------
 
-def test_import_loads_every_submodule_but_no_numpy():
+LAYERS = ["books", "coherence", "errors", "exchangeable", "feasibility", "montecarlo", "quantum", "rationals"]
+
+
+def test_bare_import_loads_no_layer_and_cli_loads_every_layer_but_no_numpy():
+    out = fresh_python(
+        "-c",
+        "import sys\n"
+        "def loaded():\n"
+        "    print(' '.join(sorted(m for m in sys.modules if m.startswith('qdutch'))))\n"
+        "import qdutch\n"
+        "loaded()\n"
+        "from qdutch import cli\n"
+        "loaded()\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    bare, with_cli, numpy_loaded = out.splitlines()
+    assert bare.split() == ["qdutch"]
+    # The bench's cache reset and tracer find these in sys.modules after `from qdutch import cli`.
+    assert with_cli.split() == [
+        "qdutch", "qdutch.books", "qdutch.cli", "qdutch.coherence", "qdutch.errors",
+        "qdutch.exchangeable", "qdutch.feasibility", "qdutch.montecarlo", "qdutch.quantum",
+        "qdutch.rationals",
+    ]
+    assert numpy_loaded == "False"
+
+
+def test_every_public_name_resolves_after_a_bare_import():
+    """Each exported name is the very object of every layer that binds it."""
     out = fresh_python(
         "-c",
         "import sys, qdutch\n"
-        "print('numpy' in sys.modules)\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.startswith('qdutch'))))\n"
+        f"layers = {LAYERS!r}\n"
+        "values = {name: getattr(qdutch, name) for name in qdutch.__all__ + layers}\n"
+        "mods = [sys.modules['qdutch.' + layer] for layer in layers]\n"
+        "assert all(values[layer] is mod for layer, mod in zip(layers, mods))\n"
+        "for name in qdutch.__all__:\n"
+        "    owners = [mod for mod in mods if name in vars(mod)]\n"
+        "    assert owners and all(vars(mod)[name] is values[name] for mod in owners), name\n"
+        "print(len(qdutch.__all__), len(values))\n"
     )
-    numpy_loaded, modules = out.splitlines()
-    assert numpy_loaded == "False"
-    # The bench's cache reset and tracer find these in sys.modules after the import.
-    assert modules.split() == [
-        "qdutch", "qdutch.books", "qdutch.coherence", "qdutch.errors", "qdutch.exchangeable",
-        "qdutch.feasibility", "qdutch.montecarlo", "qdutch.quantum", "qdutch.rationals",
-    ]
+    assert out == "65 73\n"
 
+
+def test_dir_lists_every_public_name_and_layer():
+    import qdutch
+
+    assert set(qdutch.__all__) | set(LAYERS) <= set(dir(qdutch))
+
+
+def test_unknown_name_raises_attribute_error():
+    import qdutch
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qdutch.no_such_name
+    assert not hasattr(qdutch, "no_such_name")
+
+
+def test_star_import_binds_every_public_name():
+    out = fresh_python(
+        "-c",
+        "from qdutch import *\n"
+        "import qdutch\n"
+        "print(sorted(set(qdutch.__all__) - set(globals())), len(qdutch.__all__))\n"
+    )
+    assert out == "[] 65\n"
+
+
+def test_layer_attribute_works_after_a_bare_import():
+    out = fresh_python(
+        "-c",
+        "import qdutch\n"
+        "print(qdutch.exchangeable.succession(qdutch.Measure.FLAT, qdutch.RunSpec(10, 3)))\n"
+    )
+    assert out == "2759/6792\n"
+
+
+# --- numpy stays out of the exact layers ------------------------------------
 
 def test_exact_commands_run_without_numpy(overround_book):
     script = (
@@ -435,19 +497,20 @@ def test_exact_commands_run_without_numpy(overround_book):
 
 
 def test_first_numpy_use_from_threads_at_once():
-    """numpy is first imported by whichever thread gets there first; the others
-    must wait for the whole module, not see it half initialized."""
+    """numpy, and each layer the package loads on first access, is first
+    imported by whichever thread gets there first; the others must wait for
+    the whole module, not see it half initialized."""
     script = (
         "import sys, threading\n"
-        "from qdutch import Measure, SampleConfig, montecarlo, quantum\n"
+        "import qdutch\n"
         "sys.setswitchinterval(1e-6)\n"
         "barrier = threading.Barrier(4)\n"
         "errors = []\n"
         "def touch(i):\n"
         "    barrier.wait()\n"
         "    try:\n"
-        "        quantum.DensityOperator.maximally_mixed(2)\n"
-        "        montecarlo.draw_samples(SampleConfig(Measure.BURES, seed=i, samples=10))\n"
+        "        qdutch.quantum.DensityOperator.maximally_mixed(2)\n"
+        "        qdutch.draw_samples(qdutch.SampleConfig(qdutch.Measure.BURES, seed=i, samples=10))\n"
         "    except Exception as exc:\n"
         "        errors.append(repr(exc))\n"
         "threads = [threading.Thread(target=touch, args=(i,)) for i in range(4)]\n"

@@ -13,7 +13,6 @@ from qdutch import (
     estimate_run_probability,
     estimate_succession,
     run_probability,
-    sample_state,
 )
 from qdutch.montecarlo import CHUNK, _sample_arrays
 from helpers import fresh_python
@@ -65,11 +64,11 @@ class TestSampling:
             assert np.all((q >= 0) & (q <= 1))
 
     def test_single_draw(self):
-        rng = np.random.default_rng(0)
-        sample = sample_state(config(Measure.BURES, samples=1), rng)
-        assert 0.5 <= sample.lambda1 <= 1.0
-        assert 0.0 <= sample.t <= 1.0
-        assert 0.0 <= sample.success_probability <= 1.0
+        batch = draw_samples(config(Measure.BURES, samples=1))
+        assert len(batch) == 1
+        assert 0.5 <= batch.lambda1[0] <= 1.0
+        assert 0.0 <= batch.t[0] <= 1.0
+        assert 0.0 <= batch.success_probability[0] <= 1.0
 
 
 class TestDeterminism:
