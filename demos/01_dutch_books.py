@@ -7,7 +7,6 @@ from qdutch import (
     Book,
     ConditionalBet,
     OutcomeSpace,
-    assignment_from_book,
     average_payoff,
     average_payoff_product_joint,
     check_axioms,
@@ -54,5 +53,5 @@ for word in space.words():
     print(f"  payoff if {word.name:4s} = {payoff(exploited, word)}")
 
 print("\n== the axioms behind coherence ==")
-for violation in check_axioms(assignment_from_book(bad)):
+for violation in check_axioms(bad):
     print(f"  {violation}")

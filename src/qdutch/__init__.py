@@ -27,16 +27,15 @@ _EXPORTS = {
     "books": ("dumps_book", "load_book", "loads_book", "parse_expression", "save_book"),
     "coherence": (
         "AxiomViolation", "Book", "ConditionalBet", "OutcomeSpace", "OutcomeWord",
-        "Proposition", "QuotientAssignment", "assignment_from_book", "average_payoff",
-        "average_payoff_product_joint", "check_axioms", "classical_predictive",
-        "event_probability", "find_dutch_book", "format_proposition", "laplace_succession",
-        "payoff",
+        "Proposition", "average_payoff", "average_payoff_product_joint", "check_axioms",
+        "classical_predictive", "event_probability", "find_dutch_book", "format_proposition",
+        "laplace_succession", "payoff",
     ),
     "errors": ("CapacityError", "NullConditionError"),
     "exchangeable": (
-        "DEFAULT_N_CAP", "Measure", "RunSpec", "SuccessionRow", "correction_ratio",
-        "correction_term", "distribution_over_k", "run_probability", "succession",
-        "succession_row", "succession_table", "write_succession_csv",
+        "DEFAULT_N_CAP", "Measure", "RunSpec", "SuccessionRow", "correction_term",
+        "distribution_over_k", "run_probability", "succession", "succession_row",
+        "succession_table", "write_succession_csv",
     ),
     "feasibility": (),
     "montecarlo": (

@@ -201,7 +201,7 @@ def _cmd_coherence_check(args) -> int:
 
 def _cmd_axioms_check(args) -> int:
     book = books.load_book(args.book)
-    violations = coherence.check_axioms(coherence.assignment_from_book(book))
+    violations = coherence.check_axioms(book)
     with _output(args.out) as fh:
         if not violations:
             fh.write("AXIOMS OK: no violation detectable from the assignment\n")

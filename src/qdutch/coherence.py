@@ -201,35 +201,32 @@ class Book:
         return Book(self.space, new)
 
 
+_ZERO = Fraction(0)
+
+
+def _payoff_row(book: Book, word: OutcomeWord) -> list[Fraction]:
+    """Each bet's payoff per unit stake when ``word`` is realized."""
+    row = []
+    for bet in book.bets:
+        if not word.satisfies(bet.condition):
+            row.append(_ZERO)             # called off: stakes and wagers returned
+        elif word.satisfies(bet.target):
+            row.append(1 - bet.quotient)
+        else:
+            row.append(-bet.quotient)
+    return row
+
+
 def payoff(book: Book, outcome: Union[OutcomeWord, str]) -> Fraction:
     """Exact bettor's payoff of the whole book for one realized outcome."""
     word = book.space.word(outcome) if isinstance(outcome, str) else outcome
     if word.space != book.space:
         raise ValueError("outcome belongs to a different space")
-    total = Fraction(0)
-    for bet in book.bets:
-        if not word.satisfies(bet.condition):
-            continue                      # called off: stakes and wagers returned
-        if word.satisfies(bet.target):
-            total += (1 - bet.quotient) * bet.stake
-        else:
-            total -= bet.quotient * bet.stake
-    return total
+    return sum((g * bet.stake for g, bet in zip(_payoff_row(book, word), book.bets) if g), _ZERO)
 
 
 def _payoff_matrix(book: Book) -> list[list[Fraction]]:
-    rows = []
-    for word in book.space.words():
-        row = []
-        for bet in book.bets:
-            if not word.satisfies(bet.condition):
-                row.append(Fraction(0))
-            elif word.satisfies(bet.target):
-                row.append(1 - bet.quotient)
-            else:
-                row.append(-bet.quotient)
-        rows.append(row)
-    return rows
+    return [_payoff_row(book, word) for word in book.space.words()]
 
 
 def find_dutch_book(book: Book) -> Optional[list[Fraction]]:
@@ -259,65 +256,30 @@ class AxiomViolation:
         return f"{self.axiom}: {self.detail}"
 
 
-class QuotientAssignment:
-    """Betting quotients on propositions and on (target | condition) pairs."""
+def check_axioms(book: Book) -> list[AxiomViolation]:
+    """Report every violated probability axiom visible in a book's quotients.
 
-    def __init__(self, space: OutcomeSpace):
-        self.space = space
-        self._outright: dict[Proposition, Fraction] = {}
-        self._conditional: dict[tuple[Proposition, Proposition], Fraction] = {}
-
-    def set_quotient(self, prop: Proposition, quotient: RationalLike) -> None:
-        self._outright[prop] = _as_fraction(quotient)
-
-    def set_conditional(
-        self, target: Proposition, condition: Proposition, quotient: RationalLike
-    ) -> None:
-        self._conditional[(target, condition)] = _as_fraction(quotient)
-
-    def quotient(self, prop: Proposition) -> Optional[Fraction]:
-        return self._outright.get(prop)
-
-    def items(self):
-        return self._outright.items()
-
-    def conditional_items(self):
-        return self._conditional.items()
-
-
-def assignment_from_book(book: Book) -> QuotientAssignment:
-    """Collect a book's quotients into an assignment for axiom checking.
-
-    Outright bets (condition = tautology) contribute unconditional quotients;
-    the rest contribute conditional ones.
-    """
-    assignment = QuotientAssignment(book.space)
-    for bet in book.bets:
-        if bet.condition.is_omega():
-            assignment.set_quotient(bet.target, bet.quotient)
-        else:
-            assignment.set_conditional(bet.target, bet.condition, bet.quotient)
-    return assignment
-
-
-def check_axioms(assignment: QuotientAssignment) -> list[AxiomViolation]:
-    """Report every violated probability axiom visible in the assignment.
-
-    Checks positivity and the bound q <= 1 of all quotients, additivity on
-    assigned disjoint pairs whose join is also assigned, normalization on the
-    tautology, and the multiplication law q(a & b) = q(a given b) q(b)
-    wherever all three pieces are assigned.  The tautology's quotient is 1
-    by the normalization axiom, so it participates in the other checks even
-    when no bet was placed on it explicitly.  An empty list means no
-    violation is detectable.
+    Outright bets (condition = tautology) give unconditional quotients and
+    the rest give conditional ones; a later bet on the same proposition or
+    pair overrides an earlier one.  Checks positivity and the bound q <= 1
+    of all quotients, additivity on assigned disjoint pairs whose join is
+    also assigned, normalization on the tautology, and the multiplication
+    law q(a & b) = q(a given b) q(b) wherever all three pieces are assigned.
+    The tautology's quotient is 1 by the normalization axiom, so it
+    participates in the other checks even when no bet was placed on it
+    explicitly.  An empty list means no violation is detectable.
     """
     violations: list[AxiomViolation] = []
-    out = dict(assignment.items())
+    out = {bet.target: bet.quotient for bet in book.bets if bet.condition.is_omega()}
+    conditional = {
+        (bet.target, bet.condition): bet.quotient
+        for bet in book.bets
+        if not bet.condition.is_omega()
+    }
     name = format_proposition
 
     quotients = [(name(prop), q) for prop, q in out.items()] + [
-        (f"{name(target)} given {name(cond)}", q)
-        for (target, cond), q in assignment.conditional_items()
+        (f"{name(target)} given {name(cond)}", q) for (target, cond), q in conditional.items()
     ]
     for label, q in quotients:
         if q < 0:
@@ -325,7 +287,7 @@ def check_axioms(assignment: QuotientAssignment) -> list[AxiomViolation]:
         if q > 1:
             violations.append(AxiomViolation("bound", f"q({label}) = {q} > 1"))
 
-    omega = assignment.space.omega
+    omega = book.space.omega
     if omega in out and out[omega] != 1:
         violations.append(
             AxiomViolation("normalization", f"q(TRUE) = {out[omega]} != 1")
@@ -348,7 +310,7 @@ def check_axioms(assignment: QuotientAssignment) -> list[AxiomViolation]:
                 )
 
     # iterated additivity over the exclusive, exhaustive atom family
-    atoms = [assignment.space.atom(a) for a in assignment.space.atoms]
+    atoms = [book.space.atom(a) for a in book.space.atoms]
     if all(a in out for a in atoms):
         total = sum(out[a] for a in atoms)
         if total != out[omega]:
@@ -359,7 +321,7 @@ def check_axioms(assignment: QuotientAssignment) -> list[AxiomViolation]:
                 )
             )
 
-    for (target, cond), q_cond in assignment.conditional_items():
+    for (target, cond), q_cond in conditional.items():
         meet = target & cond
         if meet in out and cond in out:
             if out[meet] != q_cond * out[cond]:

@@ -220,22 +220,39 @@ def oracle_run_probability(measure: Measure, n: int, k: int) -> Fraction:
 
     Integrates q**k (1-q)**(n-k) with q = lam*t + (1-lam)*(1-t) over the
     measure's eigenvalue density and uniform t.  Keep n small: symbolic
-    integration cost grows quickly.  The Bures branch integrates t first and
-    then each monomial in lam against the arcsine weight, with sympy's Beta.
+    integration cost grows quickly.
+    """
+    return _oracle_mean(measure, lambda q: q**k * (1 - q) ** (n - k))
+
+
+def oracle_x_moment(measure: Measure, j: int) -> Fraction:
+    """E[(1 - 2q)**j] by the same symbolic integration as the run probability."""
+    return _oracle_mean(measure, lambda q: (1 - 2 * q) ** j)
+
+
+def _oracle_mean(measure: Measure, polynomial) -> Fraction:
+    """E[polynomial(q)] under the measure, as an exact rational.
+
+    q = lam*t + (1-lam)*(1-t) is a sympy polynomial in t and lam, and each
+    integral over [0, 1] is a polynomial antiderivative.  The Bures branch
+    integrates t first and then each monomial in lam against the arcsine
+    weight, with sympy's Beta.
     """
     import sympy as sp
 
-    lam, t = sp.symbols("lam t", positive=True)
-    q = lam * t + (1 - lam) * (1 - t)
-    integrand = q**k * (1 - q) ** (n - k)
+    lam, t = sp.symbols("lam t")
+    integrand = polynomial(sp.Poly(lam * t + (1 - lam) * (1 - t), t, lam))
+    over_t = integrand.integrate(t)
+    in_lam = over_t.eval(t, 1) - over_t.eval(t, 0)
     if measure is Measure.PURE_UNIFORM:
-        value = sp.integrate(integrand.subs(lam, 1), (t, 0, 1))
+        value = in_lam.eval(1)
     elif measure is Measure.FLAT:
-        value = sp.integrate(sp.integrate(integrand, (t, 0, 1)), (lam, 0, 1))
+        over_lam = in_lam.integrate()
+        value = over_lam.eval(1) - over_lam.eval(0)
     else:
         # The density is (2/pi) (2 lam - 1)**2 times the arcsine weight
         # 1/sqrt(lam (1 - lam)), whose moment of lam**a is B(a + 1/2, 1/2).
-        poly = sp.Poly(2 * (2 * lam - 1) ** 2 * sp.integrate(integrand, (t, 0, 1)), lam)
+        poly = sp.Poly(2 * (2 * lam - 1) ** 2, lam) * in_lam
         half = sp.Rational(1, 2)
         value = sum(
             (c * sp.beta(a + half, half).rewrite(sp.gamma) / sp.pi for (a,), c in poly.terms()),

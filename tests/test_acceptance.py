@@ -122,9 +122,9 @@ def test_criterion_4_figure_grid_convergence():
     < 0.01 at n=400, except for the flat measure at k/n = 1/5, where the
     bound is the analytic leading term c/n derived below.
 
-    Every cell also checks that the ``succession_table`` route
-    and the literal double sum (``correction_term(n+1, k+1) /
-    correction_term(n, k)``) agree exactly, that the ratio is exactly 1 at
+    Every cell also checks that the ``succession_table`` route and the
+    independent Krawtchouk sum over even x-moments (``correction_term(n+1,
+    k+1) / correction_term(n, k)``) agree exactly, that the ratio is exactly 1 at
     k/n = 1/2, that the deviation decays like 1/n (dev(400) <= dev(100)/3),
     and that the Bures deviation never exceeds the flat one.
 
@@ -154,7 +154,7 @@ def test_criterion_4_figure_grid_convergence():
                     measure, RunSpec(n, row.k)
                 )
                 if row.correction_ratio != literal:
-                    failures.append(f"{cell}: moment and double-sum routes disagree")
+                    failures.append(f"{cell}: run-probability and correction-term routes disagree")
                 dev = devs[measure, k_fraction, n] = abs(row.correction_ratio - 1)
                 if measure is Measure.FLAT and k_fraction == F(1, 5):
                     bound = FLAT_FIFTH_C / n

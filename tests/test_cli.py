@@ -53,16 +53,20 @@ class TestSuccessionCommand:
 
     def test_requires_exactly_one_of_k_and_kfrac(self, capsys):
         assert cli.main(["succession", "--measure", "flat", "--n", "2"]) == 2
+        assert capsys.readouterr().err
         assert (
             cli.main(["succession", "--measure", "flat", "--n", "2", "--k", "1", "--kfrac", "1/2"])
             == 2
         )
+        assert capsys.readouterr().err
 
     def test_decimal_kfrac_is_an_input_error(self, capsys):
         assert cli.main(["succession", "--measure", "flat", "--n", "2", "--kfrac", "0.5"]) == 2
+        assert capsys.readouterr().err
 
     def test_unknown_measure_is_an_input_error(self, capsys):
         assert cli.main(["succession", "--measure", "haar", "--n", "1", "--k", "1"]) == 2
+        assert capsys.readouterr().err
 
     def test_cap_violation_is_an_input_error(self, capsys):
         assert cli.main(["succession", "--measure", "flat", "--n", "5000", "--k", "1"]) == 2
@@ -144,11 +148,13 @@ class TestCoherenceCheckCommand:
 
     def test_missing_file_is_an_input_error(self, capsys):
         assert cli.main(["coherence-check", "no-such-file.json"]) == 2
+        assert capsys.readouterr().err
 
     def test_malformed_file_is_an_input_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{]")
         assert cli.main(["coherence-check", str(path)]) == 2
+        assert capsys.readouterr().err
 
 
 class TestAxiomsCheckCommand:
@@ -191,11 +197,13 @@ class TestLudersCommand:
         state = write_json(tmp_path / "up.json", {"dim": 2, "entries": UP})
         proj = write_json(tmp_path / "down.json", {"dim": 2, "entries": DOWN})
         assert cli.main(["luders", "--state", state, "--projector", proj]) == 1
+        assert capsys.readouterr().err
 
     def test_invalid_state_is_an_input_error(self, tmp_path, capsys):
         bad = write_json(tmp_path / "bad.json", {"dim": 2, "entries": [[2.0, 0], [0, 0], [0, 0], [0, 0]]})
         proj = write_json(tmp_path / "p.json", {"dim": 2, "entries": UP})
         assert cli.main(["luders", "--state", bad, "--projector", proj]) == 2
+        assert capsys.readouterr().err
 
 
 class TestAggregateCommand:
@@ -265,9 +273,11 @@ class TestQuantumBookCommand:
 class TestArgumentHandling:
     def test_unknown_flag_exits_two(self, capsys):
         assert cli.main(["succession", "--nope", "1"]) == 2
+        assert capsys.readouterr().err
 
     def test_unknown_command_exits_two(self, capsys):
         assert cli.main(["frobnicate"]) == 2
+        assert capsys.readouterr().err
 
     def test_failed_parse_leaves_the_cached_parser_intact(self, capsys):
         argv = ["succession", "--measure", "bures", "--n", "1,3", "--k", "1"]
@@ -443,7 +453,7 @@ def test_every_public_name_resolves_after_a_bare_import():
         "    assert owners and all(vars(mod)[name] is values[name] for mod in owners), name\n"
         "print(len(qdutch.__all__), len(values))\n"
     )
-    assert out == "65 73\n"
+    assert out == "62 70\n"
 
 
 def test_dir_lists_every_public_name_and_layer():
@@ -467,7 +477,7 @@ def test_star_import_binds_every_public_name():
         "import qdutch\n"
         "print(sorted(set(qdutch.__all__) - set(globals())), len(qdutch.__all__))\n"
     )
-    assert out == "[] 65\n"
+    assert out == "[] 62\n"
 
 
 def test_layer_attribute_works_after_a_bare_import():

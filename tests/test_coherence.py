@@ -15,7 +15,6 @@ from qdutch import (
     ConditionalBet,
     OutcomeSpace,
     Proposition,
-    QuotientAssignment,
     average_payoff,
     average_payoff_product_joint,
     check_axioms,
@@ -230,81 +229,89 @@ class TestFindDutchBook:
 class TestCheckAxioms:
     def test_consistent_assignment_has_no_violations(self, coin):
         a, na = coin.atom("a"), coin.atom("na")
-        assignment = QuotientAssignment(coin)
-        assignment.set_quotient(a, F(1, 2))
-        assignment.set_quotient(na, F(1, 2))
-        assignment.set_quotient(coin.omega, 1)
-        assignment.set_quotient(coin.empty, 0)
-        assignment.set_conditional(a, coin.omega, F(1, 2))
-        assignment.set_conditional(a, a, 1)
-        assert check_axioms(assignment) == []
+        book = Book(
+            coin,
+            [
+                outright(a, "1/2"),
+                outright(na, "1/2"),
+                outright(coin.omega, 1),
+                outright(coin.empty, 0),
+                ConditionalBet(a, coin.omega, F(1, 2)),  # an outright bet again
+                ConditionalBet(a, a, 1),
+            ],
+        )
+        assert check_axioms(book) == []
 
     def test_additivity_violation_reported(self, coin):
         a, na = coin.atom("a"), coin.atom("na")
-        assignment = QuotientAssignment(coin)
-        assignment.set_quotient(a, F(3, 10))
-        assignment.set_quotient(na, F(3, 10))
-        assignment.set_quotient(a | na, 1)
-        found = check_axioms(assignment)
+        book = Book(coin, [outright(a, "3/10"), outright(na, "3/10"), outright(a | na, 1)])
+        found = check_axioms(book)
         assert found and all(v.axiom == "additivity" for v in found)
 
     def test_overround_atom_family_reported_without_explicit_join(self):
         # no pairwise join is assigned; only iterated additivity over the
         # exhaustive atoms plus q(TRUE) = 1 exposes the overround
         space = OutcomeSpace(["x", "y", "z"])
-        assignment = QuotientAssignment(space)
-        for name, q in [("x", F(3, 5)), ("y", F(3, 10)), ("z", F(1, 5))]:
-            assignment.set_quotient(space.atom(name), q)
-        found = check_axioms(assignment)
+        book = Book(
+            space,
+            [outright(space.atom(name), q) for name, q in [("x", "3/5"), ("y", "3/10"), ("z", "1/5")]],
+        )
+        found = check_axioms(book)
         assert [v.axiom for v in found] == ["additivity"]
 
     def test_normalization_violation_reported(self, coin):
-        assignment = QuotientAssignment(coin)
-        assignment.set_quotient(coin.omega, F(9, 10))
-        assert [v.axiom for v in check_axioms(assignment)] == ["normalization"]
+        book = Book(coin, [outright(coin.omega, "9/10")])
+        assert [v.axiom for v in check_axioms(book)] == ["normalization"]
 
     def test_positivity_violation_reported(self, coin):
-        assignment = QuotientAssignment(coin)
-        assignment.set_quotient(coin.atom("a"), F(-1, 10))
-        assert [v.axiom for v in check_axioms(assignment)] == ["positivity"]
+        book = Book(coin, [outright(coin.atom("a"), "-1/10")])
+        assert [v.axiom for v in check_axioms(book)] == ["positivity"]
 
     def test_bound_violation_reported(self, coin):
         # q <= 1 follows from the axioms; a lone quotient above it is flagged
         # even when the complement is unassigned
         a, na = coin.atom("a"), coin.atom("na")
-        assignment = QuotientAssignment(coin)
-        assignment.set_quotient(a, F(3, 2))
-        assert [v.axiom for v in check_axioms(assignment)] == ["bound"]
-        assignment = QuotientAssignment(coin)
-        assignment.set_conditional(a, a | na, F(3, 2))
-        assert [v.axiom for v in check_axioms(assignment)] == ["bound"]
-        assignment.set_conditional(na, a | na, 1)  # q = 1 itself is allowed
-        assert [v.axiom for v in check_axioms(assignment)] == ["bound"]
+        assert [v.axiom for v in check_axioms(Book(coin, [outright(a, "3/2")]))] == ["bound"]
+        above = ConditionalBet(a, a, F(3, 2))
+        assert [v.axiom for v in check_axioms(Book(coin, [above]))] == ["bound"]
+        at_one = ConditionalBet(na, na, 1)  # q = 1 itself is allowed
+        assert [v.axiom for v in check_axioms(Book(coin, [above, at_one]))] == ["bound"]
+
+    def test_later_bet_on_the_same_proposition_wins(self):
+        # the overridden quotient is not checked; the first placement keeps
+        # its position in the report
+        space = OutcomeSpace(["a", "b", "c"])
+        a, b, c = (space.atom(x) for x in "abc")
+        book = Book(
+            space,
+            [
+                outright(a, -1),
+                ConditionalBet(b, b | c, F(3, 2)),
+                outright(c, 2),
+                outright(a, "1/2"),
+                ConditionalBet(b, b | c, F(1, 3)),
+            ],
+        )
+        assert [str(v) for v in check_axioms(book)] == ["bound: q(c) = 2 > 1"]
 
     def test_messages_render_each_proposition_unambiguously(self):
         # ' | ' is the disjunction of the book syntax; conditioning reads 'given'
         space = OutcomeSpace(["a", "b", "c"])
         a, b, c = (space.atom(x) for x in "abc")
-        assignment = QuotientAssignment(space)
-        assignment.set_conditional(a, a | b, F(-1, 2))
-        assignment.set_conditional(c, a | c, F(3, 2))
-        assert [str(v) for v in check_axioms(assignment)] == [
+        book = Book(space, [ConditionalBet(a, a | b, F(-1, 2)), ConditionalBet(c, a | c, F(3, 2))])
+        assert [str(v) for v in check_axioms(book)] == [
             "positivity: q(a given a | b) = -1/2 < 0",
             "bound: q(c given a | c) = 3/2 > 1",
         ]
-        assignment = QuotientAssignment(space)
-        assignment.set_quotient(a | b, F(1, 5))
-        assignment.set_quotient(c, F(1, 5))
-        assignment.set_quotient(a | b | c, F(1, 2))
-        assert [str(v) for v in check_axioms(assignment)] == [
+        book = Book(space, [outright(a | b, "1/5"), outright(c, "1/5"), outright(a | b | c, "1/2")])
+        assert [str(v) for v in check_axioms(book)] == [
             "normalization: q(TRUE) = 1/2 != 1",
             "additivity: q(a | b) + q(c) = 1/5 + 1/5 != q(TRUE) = 1/2",
         ]
-        assignment = QuotientAssignment(space)
-        assignment.set_quotient(a | b, F(1, 2))
-        assignment.set_quotient(a, F(1, 4))
-        assignment.set_conditional(a, a | b, F(1, 3))
-        assert [str(v) for v in check_axioms(assignment)] == [
+        book = Book(
+            space, [outright(a | b, "1/2"), outright(a, "1/4"), ConditionalBet(a, a | b, F(1, 3))]
+        )
+        assert [str(v) for v in check_axioms(book)] == [
             "multiplication: q(a) = 1/4 != q(a given a | b) * q(a | b) = 1/6",
         ]
 
@@ -312,11 +319,8 @@ class TestCheckAxioms:
         space = OutcomeSpace(["ab", "anb", "nb"])
         a = space.proposition(["ab"])
         b = space.proposition(["ab", "anb"])
-        assignment = QuotientAssignment(space)
-        assignment.set_quotient(b, F(1, 2))
-        assignment.set_quotient(a & b, F(1, 4))
-        assignment.set_conditional(a, b, F(1, 3))
-        found = check_axioms(assignment)
+        book = Book(space, [outright(b, "1/2"), outright(a & b, "1/4"), ConditionalBet(a, b, F(1, 3))])
+        found = check_axioms(book)
         assert [v.axiom for v in found] == ["multiplication"]
         assert isinstance(found[0], AxiomViolation)
 

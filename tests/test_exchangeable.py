@@ -19,7 +19,6 @@ from qdutch import (
     Measure,
     RunSpec,
     classical_predictive,
-    correction_ratio,
     correction_term,
     distribution_over_k,
     laplace_succession,
@@ -30,7 +29,7 @@ from qdutch import (
     write_succession_csv,
 )
 from qdutch import exchangeable
-from helpers import convolution_sigmas, oracle_beta, oracle_run_probability
+from helpers import convolution_sigmas, oracle_beta, oracle_run_probability, oracle_x_moment
 
 F = Fraction
 
@@ -38,8 +37,7 @@ ALL_MEASURES = list(Measure)
 
 
 class TestBetaValues:
-    # B(a, b) at integer arguments is classical_predictive(a+b-2, a-1); at
-    # odd half-integer arguments it is pi times exchangeable._beta_half_over_pi
+    # B(a, b) at integer arguments is classical_predictive(a+b-2, a-1)
 
     def test_integer_beta_values(self):
         assert classical_predictive(0, 0) == 1  # B(1, 1)
@@ -62,24 +60,16 @@ class TestBetaValues:
         with pytest.raises(ValueError):
             classical_predictive(-3, 0)
 
-    def test_half_integer_beta_values(self):
-        assert exchangeable._beta_half_over_pi(3, 3) == F(1, 8)
-        assert exchangeable._beta_half_over_pi(3, 5) == F(1, 16)
-        assert exchangeable._beta_half_over_pi(1, 1) == 1
 
-    def test_half_integer_beta_against_oracle(self):
-        import sympy as sp
-
-        for a2 in (1, 3, 5, 7):
-            for b2 in (1, 3, 5):
-                got = exchangeable._beta_half_over_pi(a2, b2)
-                expected = oracle_beta(F(a2, 2), F(b2, 2))
-                assert sp.simplify(expected / sp.pi - sp.Rational(got.numerator, got.denominator)) == 0
-
-    def test_half_integer_beta_arcsine_moments(self):
-        # B(m + 1/2, 1/2) = pi * C(2m, m) / 4**m
-        for m in range(6):
-            assert exchangeable._beta_half_over_pi(2 * m + 1, 1) == F(math.comb(2 * m, m), 4**m)
+class TestXMoments:
+    def test_against_quadrature_oracle(self):
+        # E[(1 - 2q)**j] integrated over the eigenvalue density and the
+        # uniform mixing, not through the radius-times-uniform factorization;
+        # correction_term sums only the even moments, so the odd ones vanish
+        for measure in ALL_MEASURES:
+            for m in range(6):
+                assert exchangeable._x_moment(measure, m) == oracle_x_moment(measure, 2 * m), (measure, m)
+                assert oracle_x_moment(measure, 2 * m + 1) == 0, (measure, m)
 
 
 class TestCorrectionTerm:
@@ -124,18 +114,6 @@ class TestCorrectionTerm:
             correction_term(Measure.FLAT, RunSpec(DEFAULT_N_CAP + 1, 5))
 
 
-class TestReindexingIdentity:
-    def test_double_sum_weights_match_after_reindexing(self):
-        # C(k,j) C(n-k,l) B(n-j-l+1, j+l+1) == C(j+l,j) C(n-j-l,k-j) B(n-k+1, k+1)
-        for n in range(0, 9):
-            for k in range(n + 1):
-                for j in range(k + 1):
-                    for l in range(n - k + 1):
-                        lhs = math.comb(k, j) * math.comb(n - k, l) * classical_predictive(n, j + l)
-                        rhs = math.comb(j + l, j) * math.comb(n - j - l, k - j) * classical_predictive(n, k)
-                        assert lhs == rhs
-
-
 class TestMomentRecurrences:
     # j <= 600 keeps the O(j**2) oracle near a second; the library reaches
     # the cap in a fraction of that
@@ -164,13 +142,23 @@ class TestRunProbability:
                 assert run_probability(Measure.PURE_UNIFORM, RunSpec(n, k)) == classical_predictive(n, k)
 
     def test_agrees_with_correction_term_route(self):
-        # the moment route and the literal double sum are algebraically equal
+        # the sigma recurrence or Beta closed form and the Krawtchouk sum over
+        # even x-moments are algebraically equal
         for measure in ALL_MEASURES:
             for n in range(0, 26):
                 for k in range(n + 1):
                     spec = RunSpec(n, k)
                     expected = classical_predictive(n, k) * correction_term(measure, spec)
                     assert run_probability(measure, spec) == expected, (measure, n, k)
+
+    def test_agrees_with_correction_term_route_at_the_cap(self):
+        # n = 1999 is the largest n whose succession is defined
+        n = DEFAULT_N_CAP - 1
+        for measure in (Measure.FLAT, Measure.BURES):
+            for k in (0, 400, 1000, n):
+                spec = RunSpec(n, k)
+                expected = classical_predictive(n, k) * correction_term(measure, spec)
+                assert run_probability(measure, spec) == expected, (measure, k)
 
     def test_values_lie_in_the_unit_interval(self):
         for measure in ALL_MEASURES:
@@ -304,9 +292,10 @@ class TestSuccessionTable:
 
     def test_correction_ratio_matches_row(self):
         spec = RunSpec(6, 2)
-        assert correction_ratio(Measure.BURES, spec) == succession_row(
-            Measure.BURES, spec
-        ).correction_ratio
+        for measure in ALL_MEASURES:
+            assert succession_row(measure, spec).correction_ratio == correction_term(
+                measure, RunSpec(7, 3)
+            ) / correction_term(measure, spec)
 
 
 class TestConvergenceInvariants:
