@@ -13,13 +13,14 @@ qubit density operators fixes everything.  Three measures are supported:
 For each measure, ``run_probability(measure, RunSpec(n, k))`` is the exact
 rational probability of seeing the projector true on the first k of n
 measurements.  The single-trial success probability q has density Beta(1, 1)
-(pure), ``-ln|1 - 2q|`` (flat) or Beta(3/2, 3/2) (Bures).  The predictive
-probability of one more success is the Laplace rule (k+1)/(n+2) times a
-measure-dependent correction ratio, so Bures gives (2k+3)/(2(n+3)) exactly.
-``correction_term`` computes the correction term itself by an independent
-O(n) route: under every rotation-invariant measure x = 1 - 2q is the Bloch
-radius times an independent uniform on [-1, 1], so a run probability is a
-Krawtchouk-weighted sum of the measure's even x-moments, all rational.
+(pure), ``-ln|1 - 2q|`` (flat) or Beta(3/2, 3/2) (Bures); one integer table of
+its moments per measure serves ``run_probability`` and ``distribution_over_k``.
+The predictive probability of one more success is the Laplace rule
+(k+1)/(n+2) times a measure-dependent correction ratio, so Bures gives
+(2k+3)/(2(n+3)) exactly.  ``correction_term`` reaches the correction term by
+an independent O(n) route: under every rotation-invariant measure x = 1 - 2q
+is the Bloch radius times an independent uniform on [-1, 1], so a run
+probability is a Krawtchouk-weighted sum of the measure's even x-moments.
 
 Every value is a plain Fraction; decimal rendering happens only at the
 output boundary (12 significant digits).
@@ -40,9 +41,9 @@ from .errors import CapacityError
 from .rationals import format_decimal, format_rational
 
 #: Largest trial count accepted; it bounds input and the exact engine's cost.
-#: At the cap a cold flat `succession` takes about 0.2 s, `correction_term`
-#: up to 0.14 s (Bures) and `distribution_over_k` 1.3-1.8 s (2-core x86_64,
-#: Python 3.11.7).
+#: At the cap a cold `succession` takes 0.12 s (flat), 0.05 s (Bures) or 0.025 s
+#: (pure), `correction_term` up to 0.03 s (Bures) and `distribution_over_k`
+#: 0.4-1.0 s (2-core x86_64, Python 3.11.7).
 DEFAULT_N_CAP = 2000
 
 
@@ -68,18 +69,26 @@ def _check_cap(n: int) -> None:
         raise CapacityError(f"trial count {n} exceeds the cap {DEFAULT_N_CAP}")
 
 
+def _check_measure(measure) -> None:
+    if not isinstance(measure, Measure):
+        raise TypeError(f"measure must be a Measure member, not {measure!r}")
+
+
 # --- correction term: Krawtchouk sum over even x-moments --------------------
 
-def _x_moment(measure: Measure, m: int) -> Fraction:
-    """E[x**(2m)] for x = 1 - 2q: the Bloch radius g times an independent
-    uniform on [-1, 1], so E[g**(2m)] / (2m + 1).  Pure g is 1, flat g is
-    uniform, and Bures g follows the semicircle law, whose even moments are
-    Catalan numbers."""
-    if measure is Measure.PURE_UNIFORM:
-        return Fraction(1, 2 * m + 1)
-    if measure is Measure.FLAT:
-        return Fraction(1, (2 * m + 1) ** 2)
-    return Fraction(math.comb(2 * m, m), (m + 1) * 4**m)
+def _x_moments(measure: Measure, count: int) -> list[Fraction]:
+    """E[x**(2m)] for m < count, x = 1 - 2q: the Bloch radius g times an
+    independent uniform on [-1, 1], so E[g**(2m)] / (2m + 1).  Pure g is 1,
+    flat g is uniform, and Bures g follows the semicircle law, whose Catalan
+    moments give E[x**(2m)] = C(2m, m) / ((m+1) 4**m), stepped by (2m-1)/(2m+2)."""
+    _check_measure(measure)
+    if measure is not Measure.BURES:
+        power = 2 if measure is Measure.FLAT else 1
+        return [Fraction(1, (2 * m + 1) ** power) for m in range(count)]
+    moments = [Fraction(1)]
+    for m in range(1, count):
+        moments.append(moments[-1] * Fraction(2 * m - 1, 2 * m + 2))
+    return moments
 
 
 def correction_term(measure: Measure, spec: RunSpec) -> Fraction:
@@ -96,50 +105,50 @@ def correction_term(measure: Measure, spec: RunSpec) -> Fraction:
     """
     _check_cap(spec.n)
     n, k = spec.n, spec.k
+    moments = _x_moments(measure, n // 2 + 1)
     total = Fraction(0)
     prev, krawtchouk = 0, 1  # K_{j-1}, K_j
     for j in range(n + 1):
         if j % 2 == 0:
-            total += krawtchouk * _x_moment(measure, j // 2)
+            total += krawtchouk * moments[j // 2]
         prev, krawtchouk = krawtchouk, ((n - 2 * k) * krawtchouk - (n - j + 1) * prev) // (j + 1)
     return total * Fraction((n + 1) * math.comb(n, k), 2**n)
 
 
 # --- run probabilities -------------------------------------------------------
 #
-# Under every supported measure the single-trial success probability is
-# q = lam1*t + lam2*(1-t) with t uniform on [0, 1], i.e. q is uniform on
-# [lam2, lam1].  Pure and Bures give q ~ Beta(a, a), a = 1 and 3/2, so a run
-# probability is the closed form (a)_k (a)_{n-k} / (2a)_n in rising
-# factorials.  For the flat measure, averaging t exactly gives a short
-# alternating sum over the symmetrized eigenvalue moments
-#   sigma_j = E[ sum_{a+b=j} lam1**a lam2**b ] = sigma_{j-1}/2 + 1/(j+1),
-# cached from sigma_0 = 1.  Rows of the success-count distribution start from
-# P(m, m) and fill in by P(m, k) = P(m-1, k) - P(m, k+1): trial m succeeds or
-# fails.  `correction_term` reaches the same values by an independent route;
-# tests pin the two.
+# P(n, k) = E[q**k (1-q)**(n-k)] = sum_s (-1)**s C(n-k, s) E[q**(k+s)], read
+# from one table per measure: E[q**0..j] as integer numerators over a shared
+# denominator D, grown under a lock and swapped in whole.  Pure and Bures give
+# q ~ Beta(a, a), a = 1 and 3/2: E[q**j] = E[q**(j-1)] (a+j-1)/(2a+j-1).  Flat
+# gives E[q**j] = sigma_j/(j+1) over the symmetrized eigenvalue moments sigma_j
+# = E[sum_{a+b=j} lam1**a lam2**b] = sigma_{j-1}/2 + 1/(j+1).  Distribution rows
+# fill in from P(m, m) = E[q**m] by P(m, k) = P(m-1, k) - P(m, k+1).
 
-#: 2a for the measures whose q-density is Beta(a, a).
-_Q_BETA_2A = {Measure.PURE_UNIFORM: 2, Measure.BURES: 3}
+_Q_BETA_2A = {Measure.PURE_UNIFORM: 2, Measure.BURES: 3}  # 2a for the Beta(a, a) measures
+_moment_lock = threading.Lock()
+_moment_tables: dict[Measure, tuple[int, list[int]]] = {}  # measure -> (D, numerators)
 
 
-def _half_rising(a2: int, m: int) -> int:
-    """2**m times the rising factorial (a2/2)_m."""
-    return math.prod(range(a2, a2 + 2 * m, 2))
-
-
-_sigma_lock = threading.Lock()
-_sigma_cache: list[Fraction] = [Fraction(1)]  # flat-measure sigma_0, sigma_1, ...
-
-
-def _sigma_upto(j_max: int) -> list[Fraction]:
-    if len(_sigma_cache) > j_max:
-        return _sigma_cache
-    with _sigma_lock:
-        while len(_sigma_cache) <= j_max:
-            j = len(_sigma_cache)
-            _sigma_cache.append(_sigma_cache[-1] / 2 + Fraction(1, j + 1))
-    return _sigma_cache
+def _q_moments(measure: Measure, j: int) -> tuple[int, list[int]]:
+    """(D, numerators) with E[q**i] = numerators[i] / D for every i <= j."""
+    _check_measure(measure)
+    table = _moment_tables.get(measure, (1, [1]))
+    if len(table[1]) > j:
+        return table
+    with _moment_lock:
+        denom, numers = _moment_tables.get(measure, (1, [1]))
+        a2 = _Q_BETA_2A.get(measure)
+        fresh = [Fraction(numers[-1], denom)]  # steps on from the last stored moment
+        for i in range(len(numers), j + 1):
+            if a2:  # Beta(a, a)
+                fresh.append(fresh[-1] * Fraction(a2 + 2 * i - 2, 2 * (a2 + i - 1)))
+            else:  # flat, with sigma_{i-1} = i E[q**(i-1)]
+                fresh.append((fresh[-1] * Fraction(i, 2) + Fraction(1, i + 1)) / (i + 1))
+        grown = math.lcm(denom, *(m.denominator for m in fresh))
+        _moment_tables[measure] = table = (grown, [p * (grown // denom) for p in numers[:-1]]
+                                           + [m.numerator * (grown // m.denominator) for m in fresh])
+    return table
 
 
 def run_probability(measure: Measure, spec: RunSpec) -> Fraction:
@@ -150,18 +159,12 @@ def run_probability(measure: Measure, spec: RunSpec) -> Fraction:
     """
     _check_cap(spec.n)
     n, k = spec.n, spec.k
-    a2 = _Q_BETA_2A.get(measure)
-    if a2 is not None:
-        numer = _half_rising(a2, k) * _half_rising(a2, n - k)
-        return Fraction(numer, 2**n * math.perm(a2 + n - 1, n))  # (2a)_n = perm(2a+n-1, n)
-    sigmas = _sigma_upto(n)
-    total = Fraction(0)
-    binom = 1
+    denom, moments = _q_moments(measure, n)
+    total, binom = 0, 1  # binom = (-1)**s C(n-k, s)
     for s in range(n - k + 1):
-        coeff = Fraction(binom if s % 2 == 0 else -binom, k + s + 1)
-        total += sigmas[k + s] * coeff
-        binom = binom * (n - k - s) // (s + 1)
-    return total
+        total += binom * moments[k + s]
+        binom = -binom * (n - k - s) // (s + 1)
+    return Fraction(total, denom)
 
 
 def succession(measure: Measure, spec: RunSpec) -> Fraction:
@@ -169,10 +172,8 @@ def succession(measure: Measure, spec: RunSpec) -> Fraction:
     trials: the Laplace rule times the measure's correction ratio.
     """
     if spec.n + 1 > DEFAULT_N_CAP:
-        raise CapacityError(
-            f"succession at n={spec.n} needs trial count {spec.n + 1}, "
-            f"which exceeds the cap {DEFAULT_N_CAP}"
-        )
+        raise CapacityError(f"succession at n={spec.n} needs trial count {spec.n + 1}, "
+                            f"which exceeds the cap {DEFAULT_N_CAP}")
     denom = run_probability(measure, spec)
     numer = run_probability(measure, RunSpec(spec.n + 1, spec.k + 1))
     return numer / denom
@@ -185,14 +186,12 @@ def distribution_over_k(measure: Measure, n: int) -> list[Fraction]:
     exchange symmetry every ordering is equally likely.  The entries sum to
     exactly 1.
     """
-    if n < 0:
-        raise ValueError("counts must be nonnegative")
+    _check_counts(n, 0)
     _check_cap(n)
-    diagonal = [run_probability(measure, RunSpec(m, m)) for m in range(n + 1)]
-    denom = math.lcm(*(d.denominator for d in diagonal))
+    denom, moments = _q_moments(measure, n)
     row = []  # integer numerators over denom, overwritten row by row in place
-    for d in diagonal:
-        row.append(d.numerator * (denom // d.denominator))
+    for diagonal in moments[: n + 1]:  # P(m, m) = E[q**m]
+        row.append(diagonal)
         for k in range(len(row) - 2, -1, -1):
             row[k] -= row[k + 1]
     return [Fraction(math.comb(n, k) * p, denom) for k, p in enumerate(row)]

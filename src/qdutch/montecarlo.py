@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 if TYPE_CHECKING:
     import numpy as np
 
-from .exchangeable import Measure, RunSpec, run_probability
+from .exchangeable import Measure, RunSpec, _check_measure, run_probability
 from .rationals import format_rational
 
 
@@ -52,6 +52,7 @@ class SampleConfig:
     samples: int = 1_000_000
 
     def __post_init__(self):
+        _check_measure(self.measure)
         if self.samples < 1:
             raise ValueError("need at least one sample")
         if not 0 <= self.seed < 2**64:

@@ -67,8 +67,8 @@ class TestXMoments:
         # uniform mixing, not through the radius-times-uniform factorization;
         # correction_term sums only the even moments, so the odd ones vanish
         for measure in ALL_MEASURES:
-            for m in range(6):
-                assert exchangeable._x_moment(measure, m) == oracle_x_moment(measure, 2 * m), (measure, m)
+            for m, moment in enumerate(exchangeable._x_moments(measure, 6)):
+                assert moment == oracle_x_moment(measure, 2 * m), (measure, m)
                 assert oracle_x_moment(measure, 2 * m + 1) == 0, (measure, m)
 
 
@@ -118,14 +118,19 @@ class TestMomentRecurrences:
     # j <= 600 keeps the O(j**2) oracle near a second; the library reaches
     # the cap in a fraction of that
     def test_recurrences_equal_the_convolution(self):
-        assert exchangeable._sigma_upto(600)[:601] == convolution_sigmas(Measure.FLAT, 600)
-
-    def test_bures_closed_form_diagonal_equals_the_convolution(self):
-        # P(m, m) = E[q**m] = sigma_m / (m + 1): the Beta(3/2, 3/2) closed
-        # form against the eigenvalue moments of the Bures density
-        sigmas = convolution_sigmas(Measure.BURES, 600)
-        for m, sigma in enumerate(sigmas):
-            assert run_probability(Measure.BURES, RunSpec(m, m)) == sigma / (m + 1), m
+        # E[q**j] = sigma_j / (j + 1): the flat sigma step and the Bures
+        # Beta(3/2, 3/2) step against the eigenvalue moments of each density;
+        # pure q is uniform
+        expected = {
+            measure: [sigma / (j + 1) for j, sigma in enumerate(convolution_sigmas(measure, 600))]
+            for measure in (Measure.FLAT, Measure.BURES)
+        }
+        expected[Measure.PURE_UNIFORM] = [F(1, j + 1) for j in range(601)]
+        for measure, moments in expected.items():
+            denom, numerators = exchangeable._q_moments(measure, 600)
+            assert [F(p, denom) for p in numerators[:601]] == moments, measure
+            # P(m, m) = E[q**m]
+            assert [run_probability(measure, RunSpec(m, m)) for m in range(601)] == moments, measure
 
 
 class TestRunProbability:
@@ -253,6 +258,20 @@ class TestDistributionOverK:
                     for k in range(n + 1)
                 ], (measure, n)
 
+    def test_entries_agree_with_correction_term_route(self):
+        # C(n, k) times the pure run probability is 1/(n + 1), so entry k is
+        # the Krawtchouk route's correction term over n + 1; the row
+        # recurrence and run_probability both read the q-moment table
+        for measure in ALL_MEASURES:
+            row = distribution_over_k(measure, 200)
+            for k, entry in enumerate(row):
+                assert entry == correction_term(measure, RunSpec(200, k)) / 201, (measure, k)
+        for measure in (Measure.FLAT, Measure.BURES):
+            row = distribution_over_k(measure, DEFAULT_N_CAP)
+            for k in (0, 400, 1000, 2000):
+                expected = correction_term(measure, RunSpec(DEFAULT_N_CAP, k)) / (DEFAULT_N_CAP + 1)
+                assert row[k] == expected, (measure, k)
+
     def test_entries_nonnegative(self):
         for measure in ALL_MEASURES:
             for value in distribution_over_k(measure, 17):
@@ -355,30 +374,54 @@ class TestRunSpecValidation:
             RunSpec(1, -1)
 
 
+class TestMeasureValidation:
+    def test_measure_given_as_a_string_is_rejected(self):
+        # "bures" once took the flat branch of run_probability, "flat" the
+        # Bures branch of correction_term and of the sampler
+        from qdutch.montecarlo import SampleConfig
+
+        for name in ("pure", "flat", "bures"):
+            for call in (
+                lambda: run_probability(name, RunSpec(2, 2)),
+                lambda: distribution_over_k(name, 2),
+                lambda: succession(name, RunSpec(3, 1)),
+                lambda: correction_term(name, RunSpec(2, 2)),
+                lambda: SampleConfig(name),
+            ):
+                with pytest.raises(TypeError):
+                    call()
+
+
 class TestConcurrency:
     SPECS = (RunSpec(400, 123), RunSpec(600, 17))
+    MEASURES = (Measure.FLAT, Measure.BURES)
 
     def _cold_caches(self, monkeypatch):
-        # the flat moment list is the only cache in the module
-        monkeypatch.setattr(exchangeable, "_sigma_cache", [F(1)])
+        # the q-moment tables are the only cache in the module
+        monkeypatch.setattr(exchangeable, "_moment_tables", {})
 
     def test_concurrent_probability_calls_agree_with_serial(self, monkeypatch):
         self._cold_caches(monkeypatch)
-        serial = {spec: run_probability(Measure.FLAT, spec) for spec in self.SPECS}
+        serial = {
+            (measure, spec): run_probability(measure, spec)
+            for measure in self.MEASURES
+            for spec in self.SPECS
+        }
         results = []
 
-        def work(spec, barrier):
+        def work(key, barrier):
             barrier.wait()
-            results.append((spec, run_probability(Measure.FLAT, spec)))
+            results.append((key, run_probability(*key)))
 
         old_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, so fills interleave
         try:
-            for _ in range(5):  # each round races on a freshly reset list
+            for _ in range(5):  # each round races on freshly reset tables
                 self._cold_caches(monkeypatch)
                 barrier = threading.Barrier(8, timeout=60)
+                keys = list(serial)
                 threads = [
-                    threading.Thread(target=work, args=(self.SPECS[i % 2], barrier))
+                    threading.Thread(target=work, args=(keys[i % len(keys)], barrier))
                     for i in range(8)
                 ]
                 for t in threads:
@@ -389,4 +432,35 @@ class TestConcurrency:
         finally:
             sys.setswitchinterval(old_interval)
         assert len(results) == 40
-        assert all(value == serial[spec] for spec, value in results)
+        assert all(value == serial[key] for key, value in results)
+
+    def test_reads_during_growth_see_a_whole_table(self, monkeypatch):
+        # a reader summing numerators over D while the table grows must never
+        # mix numerators rescaled to the new D with the old D
+        self._cold_caches(monkeypatch)
+        spec = RunSpec(40, 9)
+        expected = run_probability(Measure.BURES, spec)
+        done = threading.Event()
+        reads = []
+
+        def read():
+            while not done.is_set():
+                reads.append(run_probability(Measure.BURES, spec))
+
+        def grow():
+            for n in range(41, 400):
+                run_probability(Measure.BURES, RunSpec(n, n))
+            done.set()
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(3)] + [threading.Thread(target=grow)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert reads and all(value == expected for value in reads)
