@@ -31,8 +31,8 @@ book = Book(
         ConditionalBet(rain, wet, F(3, 4), stake=F(2)),
     ],
 )
-for word in space.words():
-    print(f"  payoff if {word.name:4s} = {payoff(book, word)}")
+for atom in space.atoms:
+    print(f"  payoff if {atom:4s} = {payoff(book, atom)}")
 print(f"  sure-loss stakes exist? {find_dutch_book(book) is not None}")
 print(f"  average payoff under the belief state: {average_payoff(book, belief)}")
 print(f"  ... and with independent bet outcomes:  {average_payoff_product_joint(book, belief)}")
@@ -49,8 +49,8 @@ bad = Book(
 stakes = find_dutch_book(bad)
 print(f"  stakes forcing a sure loss: {stakes}")
 exploited = bad.with_stakes(stakes)
-for word in space.words():
-    print(f"  payoff if {word.name:4s} = {payoff(exploited, word)}")
+for atom in space.atoms:
+    print(f"  payoff if {atom:4s} = {payoff(exploited, atom)}")
 
 print("\n== the axioms behind coherence ==")
 for violation in check_axioms(bad):

@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "books": ("dumps_book", "load_book", "loads_book", "parse_expression", "save_book"),
     "coherence": (
-        "AxiomViolation", "Book", "ConditionalBet", "OutcomeSpace", "OutcomeWord",
+        "AxiomViolation", "Book", "ConditionalBet", "OutcomeSpace",
         "Proposition", "average_payoff", "average_payoff_product_joint", "check_axioms",
         "classical_predictive", "event_probability", "find_dutch_book", "format_proposition",
         "laplace_succession", "payoff",

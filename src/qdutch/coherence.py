@@ -70,12 +70,6 @@ class OutcomeSpace:
     def empty(self) -> "Proposition":
         return Proposition(self, frozenset())
 
-    def word(self, name: str) -> "OutcomeWord":
-        return OutcomeWord(self, self._index(name))
-
-    def words(self) -> list["OutcomeWord"]:
-        return [OutcomeWord(self, i) for i in range(len(self.atoms))]
-
     def _index(self, name: str) -> int:
         try:
             return self.atoms.index(name)
@@ -127,25 +121,6 @@ def format_proposition(prop: Proposition) -> str:
     if prop.is_empty():
         return "FALSE"
     return " | ".join(prop.atom_names())
-
-
-@dataclass(frozen=True)
-class OutcomeWord:
-    """One realized outcome: exactly one atom is true, all others false."""
-
-    space: OutcomeSpace
-    true_atom: int
-
-    def __post_init__(self):
-        if not 0 <= self.true_atom < len(self.space):
-            raise ValueError("atom index out of range")
-
-    def satisfies(self, prop: Proposition) -> bool:
-        return self.true_atom in prop.members
-
-    @property
-    def name(self) -> str:
-        return self.space.atoms[self.true_atom]
 
 
 @dataclass(frozen=True)
@@ -204,29 +179,27 @@ class Book:
 _ZERO = Fraction(0)
 
 
-def _payoff_row(book: Book, word: OutcomeWord) -> list[Fraction]:
-    """Each bet's payoff per unit stake when ``word`` is realized."""
+def _payoff_row(book: Book, atom: int) -> list[Fraction]:
+    """Each bet's payoff per unit stake when the atom at index ``atom`` is realized."""
     row = []
     for bet in book.bets:
-        if not word.satisfies(bet.condition):
+        if atom not in bet.condition.members:
             row.append(_ZERO)             # called off: stakes and wagers returned
-        elif word.satisfies(bet.target):
+        elif atom in bet.target.members:
             row.append(1 - bet.quotient)
         else:
             row.append(-bet.quotient)
     return row
 
 
-def payoff(book: Book, outcome: Union[OutcomeWord, str]) -> Fraction:
-    """Exact bettor's payoff of the whole book for one realized outcome."""
-    word = book.space.word(outcome) if isinstance(outcome, str) else outcome
-    if word.space != book.space:
-        raise ValueError("outcome belongs to a different space")
-    return sum((g * bet.stake for g, bet in zip(_payoff_row(book, word), book.bets) if g), _ZERO)
+def payoff(book: Book, atom: str) -> Fraction:
+    """Exact bettor's payoff of the whole book when the named atom is realized."""
+    row = _payoff_row(book, book.space._index(atom))
+    return sum((g * bet.stake for g, bet in zip(row, book.bets) if g), _ZERO)
 
 
 def _payoff_matrix(book: Book) -> list[list[Fraction]]:
-    return [_payoff_row(book, word) for word in book.space.words()]
+    return [_payoff_row(book, atom) for atom in range(len(book.space))]
 
 
 def find_dutch_book(book: Book) -> Optional[list[Fraction]]:
@@ -234,9 +207,9 @@ def find_dutch_book(book: Book) -> Optional[list[Fraction]]:
 
     Returns the stake vector (aligned with ``book.bets``) when the book is
     Dutch, or None when no stake choice can force a sure loss.  The decision
-    is an exact rational feasibility check over all outcome words; outcomes
-    where every bet is called off contribute a payoff-0 row, so any book with
-    such an outcome is automatically coherent.
+    is an exact rational feasibility check with one payoff row per atom; an
+    atom on which every bet is called off contributes a payoff-0 row, so any
+    book with such an atom is automatically coherent.
     """
     if len(book.bets) > MAX_BOOK_BETS:
         raise CapacityError(f"book has {len(book.bets)} bets; cap is {MAX_BOOK_BETS}")
@@ -367,7 +340,7 @@ def event_probability(
 def average_payoff(
     book: Book, joint: Union[Sequence[RationalLike], Mapping[str, RationalLike]]
 ) -> Fraction:
-    """Expected payoff of the book under a distribution over outcome words.
+    """Expected payoff of the book under a distribution over the atoms.
 
     By linearity of expectation this is the per-bet sum
     ``sum_i S_i * (P(T_i & C_i) - q_i * P(C_i))``, exact and O(bets); no
@@ -392,7 +365,7 @@ def average_payoff_product_joint(
     from the atom-level ``joint``, and the joint over the whole outcome
     combination is the product of the per-bet marginals.  Repeated bets on
     one proposition therefore get independent outcomes here, unlike
-    :func:`payoff` against a single outcome word.  Each bet's branch
+    :func:`payoff` at a single realized atom.  Each bet's branch
     probabilities sum to 1, so the expectation is the sum of the per-bet
     expectations whatever the joint over bets: it is exactly
     :func:`average_payoff`, computed by the same O(bets) per-bet sum.

@@ -36,7 +36,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence, TextIO, Union
 
-from .coherence import _check_counts, laplace_succession
+from .coherence import _as_fraction, _check_counts, laplace_succession
 from .errors import CapacityError
 from .rationals import format_decimal, format_rational
 
@@ -257,8 +257,9 @@ def succession_table(
 
     For each n the success count is k = round(k_fraction * n); rows carry the
     exact correction ratio together with the succession and Laplace values.
+    ``k_fraction`` is exact: a float raises TypeError.
     """
-    k_fraction = Fraction(k_fraction)
+    k_fraction = _as_fraction(k_fraction)
     rows = []
     for n in n_values:
         if n < 0:

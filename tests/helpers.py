@@ -112,9 +112,9 @@ def violating_book(
 
 
 def word_joint_average(book: Book, joint: list[Fraction]) -> Fraction:
-    """Expected payoff over the book's outcome words: sum_w P(w) payoff(w)."""
+    """Expected payoff over the book's atoms: sum_a P(a) payoff(a)."""
     return sum(
-        (p * payoff(book, word) for word, p in zip(book.space.words(), joint)),
+        (p * payoff(book, atom) for atom, p in zip(book.space.atoms, joint)),
         Fraction(0),
     )
 

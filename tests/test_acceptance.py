@@ -219,7 +219,7 @@ def test_criterion_6_classical_converse_dutch_book():
             ok = False
             continue
         exploited = book.with_stakes(stakes)
-        ok &= all(payoff(exploited, word) <= -1 for word in space.words())
+        ok &= all(payoff(exploited, atom) <= -1 for atom in space.atoms)
     elapsed = time.perf_counter() - start
     report("6 classical converse DBA", ok and elapsed < 60.0, elapsed, 60.0)
     assert ok

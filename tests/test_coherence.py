@@ -124,6 +124,11 @@ class TestPayoff:
         assert payoff(book, "a") == 1
         assert payoff(book, "na") == -1
 
+    def test_unknown_atom_name_rejected(self, coin):
+        book = Book(coin, [outright(coin.atom("a"), "1/2")])
+        with pytest.raises(KeyError, match="unknown atom 'b'"):
+            payoff(book, "b")
+
 
 class TestFindDutchBook:
     def test_overround_two_sided_book_is_dutch(self, coin):
@@ -134,8 +139,8 @@ class TestFindDutchBook:
         stakes = find_dutch_book(book)
         assert stakes is not None
         exploited = book.with_stakes(stakes)
-        for word in coin.words():
-            assert payoff(exploited, word) <= -1
+        for atom in coin.atoms:
+            assert payoff(exploited, atom) <= -1
 
     def test_fair_two_sided_book_is_coherent(self, coin):
         book = Book(
@@ -149,8 +154,8 @@ class TestFindDutchBook:
         stakes = find_dutch_book(book)
         assert stakes is not None and stakes[0] < 0
         exploited = book.with_stakes(stakes)
-        for word in coin.words():
-            assert payoff(exploited, word) <= -1
+        for atom in coin.atoms:
+            assert payoff(exploited, atom) <= -1
 
     def test_quotient_above_one_is_dutch(self, coin):
         book = Book(coin, [outright(coin.atom("a"), "11/10")])
@@ -222,8 +227,8 @@ class TestFindDutchBook:
             stakes = find_dutch_book(book)
             assert stakes is not None
             exploited = book.with_stakes(stakes)
-            for word in space.words():
-                assert payoff(exploited, word) <= -1
+            for atom in space.atoms:
+                assert payoff(exploited, atom) <= -1
 
 
 class TestCheckAxioms:

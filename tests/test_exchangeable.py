@@ -308,6 +308,13 @@ class TestSuccessionTable:
         with pytest.raises(ValueError):
             succession_table(Measure.FLAT, [4], F(3, 2))
 
+    def test_k_fraction_is_exact(self):
+        # 0.15 is 0.1499999... as a float, which would round k = 1.5 down to 1
+        with pytest.raises(TypeError):
+            succession_table(Measure.FLAT, [10], 0.15)
+        assert succession_table(Measure.FLAT, [10], "3/20")[0].k == 2
+        assert succession_table(Measure.FLAT, [10], F(3, 20))[0].k == 2
+
     def test_csv_output(self):
         buf = io.StringIO()
         write_succession_csv(succession_table(Measure.PURE_UNIFORM, [2], F(1, 2)), buf)
